@@ -1,42 +1,25 @@
 #include "amplifier/objectives.h"
 
-#include <atomic>
 #include <cmath>
-#include <cstdint>
 #include <memory>
-#include <unordered_map>
 
+#include "numeric/thread_slots.h"
 #include "obs/obs.h"
 
 namespace gnsslna::amplifier {
 
 namespace {
 
-/// Sentinel report for design points that cannot be built (bias
-/// unreachable etc.): terrible but finite, so optimizers move away
-/// smoothly instead of crashing.
-BandReport infeasible_report() {
-  BandReport r;
-  r.nf_avg_db = 50.0;
-  r.nf_max_db = 50.0;
-  r.gt_min_db = -50.0;
-  r.gt_avg_db = -50.0;
-  r.s11_worst_db = 0.0;
-  r.s22_worst_db = 0.0;
-  r.mu_min = 0.0;
-  r.id_a = 1.0;
-  return r;
-}
-
 /// Memoizes the BandReport of the most recent design point so the
 /// objective and every constraint share one evaluation.
 ///
-/// The memo slot is per thread (keyed by a per-instance id): the closures
-/// holding one cache may be evaluated concurrently by parallel_map, and a
-/// slot shared across threads would race — one thread could read the
-/// report computed for another thread's design point.  Recomputation is
-/// pure, so per-thread slots keep results bit-identical for any thread
-/// count while preserving the objective-then-constraints memo hit.
+/// The memo slot is per thread (numeric::ThreadSlots, owned by the cache
+/// and freed with it): the closures holding one cache may be evaluated
+/// concurrently by parallel_map, and a slot shared across threads would
+/// race — one thread could read the report computed for another thread's
+/// design point.  Recomputation is pure, so per-thread slots keep results
+/// bit-identical for any thread count while preserving the
+/// objective-then-constraints memo hit.
 class ReportCache {
  public:
   /// `borrowed` (optional) is an externally owned evaluator built for the
@@ -51,44 +34,36 @@ class ReportCache {
       : device_(std::move(device)),
         config_(std::move(config)),
         band_(std::move(band)),
-        borrowed_(std::move(borrowed)),
-        id_(next_id()) {
+        borrowed_(std::move(borrowed)) {
     config_.resolve();
   }
 
   const BandReport& at(const std::vector<double>& x) const {
-    Slot& slot = borrowed_ ? borrowed_slot_ : local_slot();
-    if (!slot.valid || x != slot.x) {
-      GNSSLNA_OBS_COUNT("amplifier.report_cache.misses");
-      slot.valid = true;
-      slot.x = x;
-      try {
-        if (borrowed_) {
-          // Borrowed-evaluator path: same values as below (the rebind
-          // machinery only decides WHICH elements re-stamp, never what
-          // they evaluate to), so reports are bit-identical whatever
-          // design the lease last touched.
-          slot.report = borrowed_->evaluate(DesignVector::from_vector(x));
-        } else if (config_.use_eval_plan) {
-          // Persistent per-thread evaluator: the netlist skeleton, the
-          // fixed-element tables, and all solver workspaces live across
-          // design points; only the design-dependent elements re-stamp.
-          if (!slot.evaluator) {
-            slot.evaluator =
-                std::make_unique<BandEvaluator>(device_, config_, band_);
-          }
-          slot.report = slot.evaluator->evaluate(DesignVector::from_vector(x));
-        } else {
-          const LnaDesign lna(device_, config_,
-                              DesignVector::from_vector(x));
-          slot.report = lna.evaluate(band_);
-        }
-      } catch (const std::exception&) {
-        GNSSLNA_OBS_COUNT("amplifier.report_cache.infeasible");
-        slot.report = infeasible_report();
-      }
-    } else {
+    Slot& slot = borrowed_ ? borrowed_slot_ : slots_.local();
+    if (slot.valid && x == slot.x) {
       GNSSLNA_OBS_COUNT("amplifier.report_cache.hits");
+      return slot.report;
+    }
+    GNSSLNA_OBS_COUNT("amplifier.report_cache.misses");
+    slot.valid = true;
+    slot.x = x;
+    try {
+      // Persistent evaluator: the plan skeleton, the fixed-element tables
+      // and all solver workspaces live across design points; only the
+      // design-dependent elements re-stamp.  A borrowed evaluator gives the
+      // same values whatever design its lease last touched.
+      BandEvaluator* evaluator = borrowed_.get();
+      if (evaluator == nullptr) {
+        if (!slot.evaluator) {
+          slot.evaluator =
+              std::make_unique<BandEvaluator>(device_, config_, band_);
+        }
+        evaluator = slot.evaluator.get();
+      }
+      slot.report = evaluator->evaluate(DesignVector::from_vector(x));
+    } catch (const std::exception&) {
+      GNSSLNA_OBS_COUNT("amplifier.report_cache.infeasible");
+      slot.report = infeasible_report();
     }
     return slot.report;
   }
@@ -101,24 +76,12 @@ class ReportCache {
     std::unique_ptr<BandEvaluator> evaluator;
   };
 
-  static std::uint64_t next_id() {
-    static std::atomic<std::uint64_t> counter{0};
-    return counter.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  Slot& local_slot() const {
-    // Keyed by the monotonically unique id (not `this`): an address can be
-    // reused by a later cache, which would alias a stale slot.
-    thread_local std::unordered_map<std::uint64_t, Slot> slots;
-    return slots[id_];
-  }
-
   device::Phemt device_;
   AmplifierConfig config_;
   std::vector<double> band_;
   std::shared_ptr<BandEvaluator> borrowed_;
   mutable Slot borrowed_slot_;  ///< single slot of the serial borrowed mode
-  std::uint64_t id_;
+  mutable numeric::ThreadSlots<Slot> slots_;
 };
 
 std::vector<double> band_or_default(std::vector<double> band_hz) {
@@ -126,6 +89,19 @@ std::vector<double> band_or_default(std::vector<double> band_hz) {
 }
 
 }  // namespace
+
+BandReport infeasible_report() {
+  BandReport r;
+  r.nf_avg_db = 50.0;
+  r.nf_max_db = 50.0;
+  r.gt_min_db = -50.0;
+  r.gt_avg_db = -50.0;
+  r.s11_worst_db = 0.0;
+  r.s22_worst_db = 0.0;
+  r.mu_min = 0.0;
+  r.id_a = 1.0;
+  return r;
+}
 
 const std::vector<std::string>& objective_names() {
   static const std::vector<std::string> kNames = {

@@ -35,6 +35,11 @@ struct DesignGoals {
   double id_max_a = 0.040;      ///< current budget [A]
 };
 
+/// Sentinel report for design points that cannot be built (bias
+/// unreachable etc.): terrible but finite, so optimizers move away
+/// smoothly instead of crashing.  Shared by every objective layer.
+BandReport infeasible_report();
+
 /// Objective-vector sizes and order for reports.
 inline constexpr std::size_t kObjectiveCount = 4;
 const std::vector<std::string>& objective_names();

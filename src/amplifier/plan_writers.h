@@ -2,11 +2,12 @@
 //
 // The batched steady state bypasses the Netlist closures: each writer
 // fills a plan value table with exactly what the corresponding closure
-// builder in netlist.cpp (or noisy_twoport.cpp / the FET closures in
-// lna.cpp) would have returned at every grid frequency, so the direct
-// path stays bit-identical to sync()-driven retabulation (pinned by
-// tests/test_batched.cpp).  Each writer returns the number of tables
-// rewritten, matching CompiledNetlist::sync's retabulation count.
+// in netlist.cpp (or noisy_twoport.cpp / the FET closures in lna.cpp)
+// would have returned at every grid frequency, so a re-tabulated plan is
+// bit-identical to one compiled fresh from the new design's netlist
+// (pinned by tests/test_batched.cpp).  Each writer returns the number of
+// value tables it rewrote (one per stamp, two-port or noise CSD), which
+// BandEvaluator::last_retabulated() reports.
 //
 // Shared by BandEvaluator (optimizer loops) and the yield engine's
 // YieldTrialEvaluator (tolerance trials).  `noise_lanes` bounds how many
@@ -74,7 +75,7 @@ inline std::size_t write_capacitor(circuit::BatchedPlan& plan,
                                    const circuit::ElementId& id,
                                    double farads) {
   if (farads <= 0.0) {
-    throw std::invalid_argument("set_capacitor: capacitance must be positive");
+    throw std::invalid_argument("write_capacitor: capacitance must be positive");
   }
   const std::vector<double>& grid = plan.grid();
   const circuit::BatchedPlan::StampView sv = plan.stamp_view(id.index);
@@ -88,7 +89,7 @@ inline std::size_t write_inductor(circuit::BatchedPlan& plan,
                                   const circuit::ElementId& id,
                                   double henries) {
   if (henries <= 0.0) {
-    throw std::invalid_argument("set_inductor: inductance must be positive");
+    throw std::invalid_argument("write_inductor: inductance must be positive");
   }
   const std::vector<double>& grid = plan.grid();
   const circuit::BatchedPlan::StampView sv = plan.stamp_view(id.index);
@@ -103,7 +104,7 @@ inline std::size_t write_resistor(circuit::BatchedPlan& plan,
                                   double temperature_k,
                                   std::size_t noise_lanes = kAllLanes) {
   if (ohms <= 0.0) {
-    throw std::invalid_argument("set_resistor: resistance must be positive");
+    throw std::invalid_argument("write_resistor: resistance must be positive");
   }
   const double g = 1.0 / ohms;
   const circuit::BatchedPlan::StampView sv = plan.stamp_view(ref.element.index);

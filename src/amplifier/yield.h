@@ -63,9 +63,6 @@ struct YieldOptions {
   std::size_t shard = 256;
   YieldSampler sampler = YieldSampler::kPseudoRandom;
   ToleranceModel tolerances = {};
-  /// false = per-trial LnaDesign rebuild (the pre-engine path, kept as
-  /// the bit-identical equivalence reference for tests and benches).
-  bool reuse_plan = true;
   /// When set, receives one record per power-of-two sample count:
   /// phase "yield_mc"/"yield_qmc", evaluations = samples so far,
   /// best_value = running pass rate, attainment = Wilson-CI width,

@@ -2,12 +2,12 @@
 //
 // NOTE ON ARITHMETIC: this file re-implements complex multiply/divide on
 // raw re/im doubles so the lane loops vectorize.  The naive forms used
-// here are bit-identical to what the scalar path produces through
+// here are bit-identical to what the per-call analyses produce through
 // std::complex (libgcc's __muldc3 fast path, and numeric::scalar_inverse)
 // for the finite, non-NaN values circuit analysis produces.  This file is
 // compiled with -ffp-contract=off (see src/circuit/CMakeLists.txt) so
 // FMA-capable -march=native builds cannot contract a*b-c*d expressions
-// into fused forms the scalar path does not use.
+// into fused forms the per-call analyses do not use.
 #include "circuit/batched.h"
 
 #include <algorithm>
@@ -41,7 +41,7 @@ namespace gnsslna::circuit {
 #endif
 
 // ---------------------------------------------------------------------------
-// Construction and tabulation (mirrors CompiledNetlist)
+// Construction and tabulation
 
 BatchedPlan::BatchedPlan(const Netlist& netlist, std::vector<double> grid_hz)
     : grid_(std::move(grid_hz)) {
@@ -75,7 +75,7 @@ BatchedPlan::BatchedPlan(const Netlist& netlist, std::vector<double> grid_hz)
   for (std::size_t ti = 0; ti < twoports_.size(); ++ti) {
     const Netlist::TwoPortStamp& tp = netlist.twoports_[ti];
     TwoPortTable& t = twoports_[ti];
-    // The nine legacy bump() calls of CompiledNetlist::slot_with_lu, in
+    // The nine bump() calls of Netlist::assemble's two-port expansion, in
     // order, with ground-touching terms dropped at compile time.
     const NodeId a = tp.t1, b = tp.t2, c = tp.common;
     const NodeId rows[9] = {a, a, a, b, b, b, c, c, c};
@@ -99,7 +99,6 @@ BatchedPlan::BatchedPlan(const Netlist& netlist, std::vector<double> grid_hz)
     noise_[gi].order = noise_[gi].injections.size();
     tabulate_noise(gi, netlist);
   }
-  last_sync_retabulated_ = stamps_.size() + twoports_.size() + noise_.size();
 
   max_injections_ = 1;
   for (const NoiseTable& g : noise_) {
@@ -110,7 +109,6 @@ BatchedPlan::BatchedPlan(const Netlist& netlist, std::vector<double> grid_hz)
 void BatchedPlan::tabulate_stamp(std::size_t si, const Netlist& netlist) {
   const Netlist::Stamp& st = netlist.stamps_[si];
   StampTable& t = stamps_[si];
-  t.revision = st.revision;
   if (grid_.empty()) return;
   if (t.frequency_independent) {
     t.values.assign(1, st.value(grid_[0]));
@@ -125,7 +123,6 @@ void BatchedPlan::tabulate_stamp(std::size_t si, const Netlist& netlist) {
 void BatchedPlan::tabulate_twoport(std::size_t ti, const Netlist& netlist) {
   const Netlist::TwoPortStamp& tp = netlist.twoports_[ti];
   TwoPortTable& t = twoports_[ti];
-  t.revision = tp.revision;
   t.values.resize(grid_.size());
   t.kind_re.resize(9 * grid_.size());
   t.kind_im.resize(9 * grid_.size());
@@ -138,7 +135,6 @@ void BatchedPlan::tabulate_twoport(std::size_t ti, const Netlist& netlist) {
 void BatchedPlan::tabulate_noise(std::size_t gi, const Netlist& netlist) {
   const NoiseGroup& g = netlist.noise_groups_[gi];
   NoiseTable& t = noise_[gi];
-  t.revision = g.revision;
   const std::size_t k = t.order;
   t.csd.resize(grid_.size() * k * k);
   for (std::size_t fi = 0; fi < grid_.size(); ++fi) {
@@ -153,50 +149,6 @@ void BatchedPlan::tabulate_noise(std::size_t gi, const Netlist& netlist) {
       }
     }
   }
-}
-
-void BatchedPlan::check_structure(const Netlist& netlist) const {
-  if (netlist.node_count() - 1 != unknowns_ ||
-      netlist.stamps_.size() != stamps_.size() ||
-      netlist.twoports_.size() != twoports_.size() ||
-      netlist.noise_groups_.size() != noise_.size() ||
-      netlist.ports().size() != ports_.size()) {
-    throw std::invalid_argument("BatchedPlan::sync: netlist structure changed");
-  }
-  for (std::size_t p = 0; p < ports_.size(); ++p) {
-    if (netlist.ports()[p].node != ports_[p].node ||
-        netlist.ports()[p].z0 != ports_[p].z0) {
-      throw std::invalid_argument("BatchedPlan::sync: netlist ports changed");
-    }
-  }
-}
-
-void BatchedPlan::sync(const Netlist& netlist) {
-  GNSSLNA_OBS_SPAN("circuit.batch.sync");
-  check_structure(netlist);
-  std::size_t matrix_changes = 0, noise_changes = 0;
-  for (std::size_t si = 0; si < stamps_.size(); ++si) {
-    if (netlist.stamps_[si].revision != stamps_[si].revision) {
-      tabulate_stamp(si, netlist);
-      matrix_changes++;
-    }
-  }
-  for (std::size_t ti = 0; ti < twoports_.size(); ++ti) {
-    if (netlist.twoports_[ti].revision != twoports_[ti].revision) {
-      tabulate_twoport(ti, netlist);
-      matrix_changes++;
-    }
-  }
-  for (std::size_t gi = 0; gi < noise_.size(); ++gi) {
-    if (netlist.noise_groups_[gi].revision != noise_[gi].revision) {
-      tabulate_noise(gi, netlist);
-      noise_changes++;
-    }
-  }
-  if (matrix_changes > 0) {
-    ++revision_;
-  }
-  last_sync_retabulated_ = matrix_changes + noise_changes;
 }
 
 BatchedPlan::StampView BatchedPlan::stamp_view(std::size_t stamp_index) {
@@ -910,7 +862,7 @@ void BatchedPlan::solve_output_transfer(EvalWorkspace& ws,
 
 // ---------------------------------------------------------------------------
 // Per-frequency result extraction (scalar std::complex arithmetic, exactly
-// as CompiledNetlist computes it from its per-frequency solutions)
+// as circuit::s_params / noise_analysis compute it from their solutions)
 
 rf::SParams BatchedPlan::s_params_at(const EvalWorkspace& ws,
                                      std::size_t fi) const {

@@ -1,24 +1,24 @@
 // Frequency-batched, allocation-free evaluation core.
 //
-// A BatchedPlan is the structure-of-arrays sibling of CompiledNetlist: it
-// tabulates the same per-element value tables over a fixed frequency grid,
-// but evaluates ALL frequencies of one design as a blocked LU batch.  The
-// assembled admittance system is stored as separate re/im double arrays
-// with the frequency lane as the innermost (contiguous, vectorizable)
-// index; one pass of the factorization advances every frequency in
-// lock-step, sharing the pivot pattern across lanes whenever the per-lane
-// pivot choices agree (the common case) and falling back to per-lane row
-// swaps when they do not.
+// A BatchedPlan tabulates every element value and noise CSD of a Netlist
+// over a fixed frequency grid and evaluates ALL frequencies of one design
+// as a blocked LU batch.  The assembled admittance system is stored as
+// separate re/im double arrays with the frequency lane as the innermost
+// (contiguous, vectorizable) index; one pass of the factorization advances
+// every frequency in lock-step, sharing the pivot pattern across lanes
+// whenever the per-lane pivot choices agree (the common case) and falling
+// back to per-lane row swaps when they do not.
 //
-// Determinism contract: every result is bit-identical to CompiledNetlist
-// and to the legacy per-call analyses.  The batched kernels replay, per
-// frequency lane, the exact arithmetic of numeric::LuDecomposition —
-// pivot_magnitude selection, scalar_inverse reciprocals, naive complex
-// multiply (which equals the libgcc __muldc3 fast path for the finite,
-// non-NaN values circuit analysis produces), and the same
-// addition/subtraction order in assembly and substitution.  batched.cpp is
-// compiled with -ffp-contract=off so FMA-capable hosts (GNSSLNA_NATIVE)
-// cannot contract these expressions away from the scalar path's results.
+// Determinism contract: every result is bit-identical to the per-call
+// analyses in analysis.h (circuit::s_params / noise_analysis), which
+// serve as the test oracle.  The batched kernels replay, per frequency
+// lane, the exact arithmetic of numeric::LuDecomposition — pivot_magnitude
+// selection, scalar_inverse reciprocals, naive complex multiply (which
+// equals the libgcc __muldc3 fast path for the finite, non-NaN values
+// circuit analysis produces), and the same addition/subtraction order in
+// assembly and substitution.  batched.cpp is compiled with
+// -ffp-contract=off so FMA-capable hosts (GNSSLNA_NATIVE) cannot contract
+// these expressions away from the oracle's results.
 //
 // Memory model: the plan itself is immutable during evaluation and may be
 // shared by any number of threads.  All mutable state lives in
@@ -132,32 +132,26 @@ class BatchedPlan {
   BatchedPlan() = default;
 
   /// Compiles `netlist` over the grid, tabulating every element and noise
-  /// group at every grid frequency (exactly CompiledNetlist's tables, laid
-  /// out for batched assembly).  The netlist is not retained.
+  /// group at every grid frequency (frequency-independent stamps once),
+  /// laid out for batched assembly.  The netlist is not retained.
   BatchedPlan(const Netlist& netlist, std::vector<double> grid_hz);
-
-  /// Re-tabulates exactly the elements/noise groups whose revision changed
-  /// (same semantics as CompiledNetlist::sync); bumps the plan revision —
-  /// invalidating bound workspaces' factorizations — when any matrix-side
-  /// table changed.
-  void sync(const Netlist& netlist);
 
   const std::vector<double>& grid() const { return grid_; }
   std::size_t size() const { return grid_.size(); }
   const std::vector<Port>& ports() const { return ports_; }
   std::size_t unknowns() const { return unknowns_; }
-  std::size_t last_sync_retabulated() const { return last_sync_retabulated_; }
 
   /// Monotone revision; bumped whenever tabulated matrix values change.
   std::uint64_t revision() const { return revision_; }
 
   // -- Direct retabulation views -------------------------------------
-  // The allocation-free hot path (amplifier::BandEvaluator) bypasses the
-  // Netlist closures entirely: it writes new tabulated values straight
-  // into the plan through these views and then calls mark_values_dirty().
-  // The written values must be exactly what the corresponding Netlist
-  // closure would have returned — that is what keeps the direct path
-  // bit-identical to sync()-driven retabulation (pinned by tests).
+  // The allocation-free hot path (amplifier::BandEvaluator, the yield
+  // engine) moves a design without any Netlist: it writes new tabulated
+  // values straight into the plan through these views and then calls
+  // mark_values_dirty().  The written values must be exactly what the
+  // corresponding Netlist closure would have returned — that is what keeps
+  // a re-tabulated plan bit-identical to one compiled fresh from the new
+  // design's netlist (pinned by tests).
 
   /// Stamp value table; count == 1 for frequency-independent stamps,
   /// grid().size() otherwise.
@@ -219,7 +213,8 @@ class BatchedPlan {
   NoiseView noise_view(std::size_t group_index);
 
   /// Invalidates cached factorizations after direct writes through the
-  /// views above (noise-only writes do not need it, matching sync()).
+  /// views above (noise-only writes do not need it: the factorization
+  /// depends on the matrix-side tables alone).
   void mark_values_dirty() { ++revision_; }
 
   // -- Evaluation ------------------------------------------------------
@@ -252,12 +247,12 @@ class BatchedPlan {
 
   /// Two-port S-parameters at grid index fi (must lie in the bound lane
   /// range; solve_ports must have run).  Bit-identical to
-  /// CompiledNetlist::s_params_at and circuit::s_params.
+  /// circuit::s_params.
   rf::SParams s_params_at(const EvalWorkspace& ws, std::size_t fi) const;
 
   /// Standard (z0-source) noise analysis at grid index fi
   /// (solve_output_transfer must have run for `output_port`).
-  /// Bit-identical to CompiledNetlist::noise_at and circuit::noise_analysis.
+  /// Bit-identical to circuit::noise_analysis.
   NoiseResult noise_at(const EvalWorkspace& ws, std::size_t fi,
                        std::size_t input_port, std::size_t output_port,
                        double t_source_k = rf::kT0) const;
@@ -295,12 +290,10 @@ class BatchedPlan {
   struct StampTable {
     std::vector<Bump> bumps;
     bool frequency_independent = false;
-    std::uint64_t revision = 0;
     std::vector<Complex> values;  // 1 entry if frequency-independent
   };
   struct TwoPortTable {
     std::vector<TpTerm> terms;  // legacy 9-term order, ground terms dropped
-    std::uint64_t revision = 0;
     std::vector<rf::YParams> values;
     // Expanded per-kind term values ([kind * grid + fi], TpKind order):
     // assembly adds these rows contiguously instead of re-deriving the
@@ -309,7 +302,6 @@ class BatchedPlan {
   };
   struct NoiseTable {
     std::vector<std::pair<NodeId, NodeId>> injections;
-    std::uint64_t revision = 0;
     std::size_t order = 0;
     std::vector<Complex> csd;  // [fi*order*order + r*order + c]
   };
@@ -317,7 +309,6 @@ class BatchedPlan {
   void tabulate_stamp(std::size_t si, const Netlist& netlist);
   void tabulate_twoport(std::size_t ti, const Netlist& netlist);
   void tabulate_noise(std::size_t gi, const Netlist& netlist);
-  void check_structure(const Netlist& netlist) const;
   void bind(EvalWorkspace& ws, std::size_t f_begin, std::size_t f_end) const;
   void assemble(EvalWorkspace& ws) const;
   void factor_lanes(EvalWorkspace& ws) const;
@@ -329,7 +320,6 @@ class BatchedPlan {
   std::vector<StampTable> stamps_;
   std::vector<TwoPortTable> twoports_;
   std::vector<NoiseTable> noise_;
-  std::size_t last_sync_retabulated_ = 0;
   std::uint64_t revision_ = 1;
 };
 

@@ -1,5 +1,6 @@
 #include "circuit/netlist.h"
 
+#include <algorithm>
 #include <numbers>
 #include <stdexcept>
 
@@ -7,55 +8,6 @@ namespace gnsslna::circuit {
 
 namespace {
 constexpr double kTwoPi = 2.0 * std::numbers::pi;
-
-// Closure builders shared by the add_* and set_* element entry points, so
-// an in-place value rebind produces bit-identical results to rebuilding
-// the netlist from scratch.
-
-AdmittanceFn capacitor_admittance(double farads) {
-  return [farads](double f) { return Complex{0.0, kTwoPi * f * farads}; };
-}
-
-AdmittanceFn inductor_admittance(double henries) {
-  return [henries](double f) {
-    return Complex{0.0, -1.0 / (kTwoPi * f * henries)};
-  };
-}
-
-AdmittanceFn resistor_admittance(double g) {
-  return [g](double) { return Complex{g, 0.0}; };
-}
-
-std::function<numeric::ComplexMatrix(double)> resistor_csd(double psd) {
-  return [psd](double) {
-    numeric::ComplexMatrix m(1, 1);
-    m(0, 0) = psd;
-    return m;
-  };
-}
-
-AdmittanceFn lossy_admittance(std::function<Complex(double)> impedance) {
-  return [impedance = std::move(impedance)](double f) -> Complex {
-    const Complex z = impedance(f);
-    if (std::abs(z) < 1e-12) {
-      throw std::domain_error("add_lossy_impedance: near-short element");
-    }
-    return 1.0 / z;
-  };
-}
-
-std::function<numeric::ComplexMatrix(double)> lossy_csd(
-    std::function<Complex(double)> impedance, double temperature_k) {
-  return [impedance = std::move(impedance), temperature_k](double f) {
-    const Complex z = impedance(f);
-    const Complex y = 1.0 / z;
-    numeric::ComplexMatrix m(1, 1);
-    // Thermal noise of the dissipative part: 4 k T Re{Y}.
-    m(0, 0) = 4.0 * rf::kBoltzmann * temperature_k * std::max(0.0, y.real());
-    return m;
-  };
-}
-
 }  // namespace
 
 Netlist::Netlist() { node_labels_.push_back("gnd"); }
@@ -101,7 +53,7 @@ ElementId Netlist::add_admittance(NodeId a, NodeId b, AdmittanceFn y,
     throw std::invalid_argument("add_admittance: null admittance function");
   }
   stamps_.push_back({a, b, a, b, std::move(y), std::move(label),
-                     frequency_independent, 0});
+                     frequency_independent});
   return {ElementId::Kind::kStamp, stamps_.size() - 1};
 }
 
@@ -112,12 +64,17 @@ ElementRef Netlist::add_resistor(NodeId a, NodeId b, double ohms,
   }
   const double g = 1.0 / ohms;
   ElementRef ref;
-  ref.element = add_admittance(a, b, resistor_admittance(g), label,
-                               /*frequency_independent=*/true);
+  ref.element = add_admittance(
+      a, b, [g](double) { return Complex{g, 0.0}; }, label,
+      /*frequency_independent=*/true);
   if (temperature_k > 0.0) {
     NoiseGroup ng;
     ng.injections = {{a, b}};
-    ng.csd = resistor_csd(4.0 * rf::kBoltzmann * temperature_k * g);
+    ng.csd = [psd = 4.0 * rf::kBoltzmann * temperature_k * g](double) {
+      numeric::ComplexMatrix m(1, 1);
+      m(0, 0) = psd;
+      return m;
+    };
     ng.label = label.empty() ? "R-thermal" : label + "-thermal";
     ref.noise_group = add_noise_group(std::move(ng));
   }
@@ -132,11 +89,27 @@ ElementRef Netlist::add_lossy_impedance(NodeId a, NodeId b,
     throw std::invalid_argument("add_lossy_impedance: null impedance function");
   }
   ElementRef ref;
-  ref.element = add_admittance(a, b, lossy_admittance(impedance), label);
+  ref.element = add_admittance(
+      a, b,
+      [impedance](double f) -> Complex {
+        const Complex z = impedance(f);
+        if (std::abs(z) < 1e-12) {
+          throw std::domain_error("add_lossy_impedance: near-short element");
+        }
+        return 1.0 / z;
+      },
+      label);
   if (temperature_k > 0.0) {
     NoiseGroup ng;
     ng.injections = {{a, b}};
-    ng.csd = lossy_csd(impedance, temperature_k);
+    ng.csd = [impedance = std::move(impedance), temperature_k](double f) {
+      const Complex y = 1.0 / impedance(f);
+      numeric::ComplexMatrix m(1, 1);
+      // Thermal noise of the dissipative part: 4 k T Re{Y}.
+      m(0, 0) =
+          4.0 * rf::kBoltzmann * temperature_k * std::max(0.0, y.real());
+      return m;
+    };
     ng.label = label.empty() ? "Z-thermal" : label + "-thermal";
     ref.noise_group = add_noise_group(std::move(ng));
   }
@@ -148,7 +121,9 @@ ElementId Netlist::add_capacitor(NodeId a, NodeId b, double farads,
   if (farads <= 0.0) {
     throw std::invalid_argument("add_capacitor: capacitance must be positive");
   }
-  return add_admittance(a, b, capacitor_admittance(farads), std::move(label));
+  return add_admittance(
+      a, b, [farads](double f) { return Complex{0.0, kTwoPi * f * farads}; },
+      std::move(label));
 }
 
 ElementId Netlist::add_inductor(NodeId a, NodeId b, double henries,
@@ -156,7 +131,12 @@ ElementId Netlist::add_inductor(NodeId a, NodeId b, double henries,
   if (henries <= 0.0) {
     throw std::invalid_argument("add_inductor: inductance must be positive");
   }
-  return add_admittance(a, b, inductor_admittance(henries), std::move(label));
+  return add_admittance(
+      a, b,
+      [henries](double f) {
+        return Complex{0.0, -1.0 / (kTwoPi * f * henries)};
+      },
+      std::move(label));
 }
 
 ElementId Netlist::add_vccs(NodeId np, NodeId nn, NodeId cp, NodeId cn,
@@ -167,7 +147,7 @@ ElementId Netlist::add_vccs(NodeId np, NodeId nn, NodeId cp, NodeId cn,
   check_node(cp, "add_vccs");
   check_node(cn, "add_vccs");
   if (!gm) throw std::invalid_argument("add_vccs: null gm function");
-  stamps_.push_back({np, nn, cp, cn, std::move(gm), std::move(label), false, 0});
+  stamps_.push_back({np, nn, cp, cn, std::move(gm), std::move(label), false});
   return {ElementId::Kind::kStamp, stamps_.size() - 1};
 }
 
@@ -186,7 +166,7 @@ ElementId Netlist::add_three_terminal(NodeId t1, NodeId t2, NodeId common,
         "add_three_terminal: terminals must be distinct nodes");
   }
   if (!y) throw std::invalid_argument("add_three_terminal: null Y function");
-  twoports_.push_back({t1, t2, common, std::move(y), std::move(label), 0});
+  twoports_.push_back({t1, t2, common, std::move(y), std::move(label)});
   return {ElementId::Kind::kTwoPort, twoports_.size() - 1};
 }
 
@@ -200,110 +180,6 @@ std::size_t Netlist::add_noise_group(NoiseGroup group) {
   }
   noise_groups_.push_back(std::move(group));
   return noise_groups_.size() - 1;
-}
-
-void Netlist::set_admittance_fn(ElementId id, AdmittanceFn y) {
-  if (id.kind != ElementId::Kind::kStamp || id.index >= stamps_.size()) {
-    throw std::invalid_argument("set_admittance_fn: bad element id");
-  }
-  if (!y) {
-    throw std::invalid_argument("set_admittance_fn: null admittance function");
-  }
-  stamps_[id.index].value = std::move(y);
-  stamps_[id.index].revision++;
-}
-
-void Netlist::set_twoport_fn(ElementId id, YBlockFn y) {
-  if (id.kind != ElementId::Kind::kTwoPort || id.index >= twoports_.size()) {
-    throw std::invalid_argument("set_twoport_fn: bad element id");
-  }
-  if (!y) {
-    throw std::invalid_argument("set_twoport_fn: null Y function");
-  }
-  twoports_[id.index].y = std::move(y);
-  twoports_[id.index].revision++;
-}
-
-void Netlist::set_noise_csd(std::size_t group,
-                            std::function<numeric::ComplexMatrix(double)> csd) {
-  if (group >= noise_groups_.size()) {
-    throw std::invalid_argument("set_noise_csd: bad noise group index");
-  }
-  if (!csd) {
-    throw std::invalid_argument("set_noise_csd: null CSD function");
-  }
-  noise_groups_[group].csd = std::move(csd);
-  noise_groups_[group].revision++;
-}
-
-void Netlist::set_capacitor(ElementId id, double farads) {
-  if (farads <= 0.0) {
-    throw std::invalid_argument("set_capacitor: capacitance must be positive");
-  }
-  set_admittance_fn(id, capacitor_admittance(farads));
-}
-
-void Netlist::set_inductor(ElementId id, double henries) {
-  if (henries <= 0.0) {
-    throw std::invalid_argument("set_inductor: inductance must be positive");
-  }
-  set_admittance_fn(id, inductor_admittance(henries));
-}
-
-void Netlist::set_resistor(const ElementRef& ref, double ohms,
-                           double temperature_k) {
-  if (ohms <= 0.0) {
-    throw std::invalid_argument("set_resistor: resistance must be positive");
-  }
-  const double g = 1.0 / ohms;
-  set_admittance_fn(ref.element, resistor_admittance(g));
-  if (ref.noise_group != kNoNoiseGroup) {
-    if (temperature_k <= 0.0) {
-      throw std::invalid_argument(
-          "set_resistor: element has registered noise; temperature must "
-          "stay positive");
-    }
-    set_noise_csd(ref.noise_group,
-                  resistor_csd(4.0 * rf::kBoltzmann * temperature_k * g));
-  }
-}
-
-void Netlist::set_lossy_impedance(const ElementRef& ref,
-                                  std::function<Complex(double)> impedance,
-                                  double temperature_k) {
-  if (!impedance) {
-    throw std::invalid_argument("set_lossy_impedance: null impedance function");
-  }
-  set_admittance_fn(ref.element, lossy_admittance(impedance));
-  if (ref.noise_group != kNoNoiseGroup) {
-    if (temperature_k <= 0.0) {
-      throw std::invalid_argument(
-          "set_lossy_impedance: element has registered noise; temperature "
-          "must stay positive");
-    }
-    set_noise_csd(ref.noise_group, lossy_csd(std::move(impedance),
-                                             temperature_k));
-  }
-}
-
-std::uint64_t Netlist::element_revision(ElementId id) const {
-  if (id.kind == ElementId::Kind::kStamp) {
-    if (id.index >= stamps_.size()) {
-      throw std::invalid_argument("element_revision: bad element id");
-    }
-    return stamps_[id.index].revision;
-  }
-  if (id.index >= twoports_.size()) {
-    throw std::invalid_argument("element_revision: bad element id");
-  }
-  return twoports_[id.index].revision;
-}
-
-std::uint64_t Netlist::noise_revision(std::size_t group) const {
-  if (group >= noise_groups_.size()) {
-    throw std::invalid_argument("noise_revision: bad noise group index");
-  }
-  return noise_groups_[group].revision;
 }
 
 std::size_t Netlist::add_port(NodeId node, double z0, std::string label) {

@@ -1,10 +1,10 @@
-// Process-wide compiled-plan tier: a pool of idle amplifier::BandEvaluator
-// instances keyed by netlist revision, so concurrent jobs on the same
-// topology reuse compiled stamp tables instead of rebuilding them.
+// Process-wide evaluator tier: a pool of idle amplifier::BandEvaluator
+// instances keyed by topology revision, so concurrent jobs on the same
+// topology reuse tabulated plans instead of rebuilding them.
 //
-// A BandEvaluator owns the expensive per-topology state (compiled netlist
-// skeleton, fixed-element stamp tables, dispersion curves, batched-solve
-// workspaces) and re-tabulates only what a design point moves.  It is NOT
+// A BandEvaluator owns the expensive per-topology state (batched plan,
+// fixed-element value tables, dispersion curves, solver workspace) and
+// re-tabulates only what a design point moves.  It is NOT
 // thread-safe, so the cache hands out exclusive leases: acquire() pops an
 // idle evaluator for the revision (hit) or builds a fresh one outside the
 // lock (miss); dropping the lease checks the evaluator back in for the
@@ -12,8 +12,9 @@
 //
 // Determinism: an evaluator's internal state (which design it last
 // touched, hence which elements re-stamp) never changes evaluation
-// VALUES — only how much re-tabulation work a call performs (the
-// rebind-equivalence contract pinned by tests/test_batched.cpp).  A job
+// VALUES — only how much re-tabulation work a call performs (a warm
+// evaluator matches the per-call oracle along a design walk, pinned by
+// tests/test_batched.cpp).  A job
 // therefore computes bit-identical results whether its lease is freshly
 // built or arbitrarily pre-used, which is what makes the cache safe to
 // share between unrelated concurrent jobs.
@@ -36,8 +37,8 @@
 
 namespace gnsslna::service {
 
-/// Stable 64-bit key of everything a BandEvaluator's compiled tables
-/// depend on besides the design vector: the resolved amplifier config
+/// Stable 64-bit key of everything a BandEvaluator's tabulated plan
+/// depends on besides the design vector: the resolved amplifier config
 /// (board stack, bias context, modelling switches) and the evaluation
 /// grid.  Two jobs with equal revisions may share evaluators; two jobs
 /// with different revisions never do.  (The device is part of the config

@@ -1,14 +1,16 @@
 // BatchedPlan equivalence and EvalWorkspace property tests.
 //
-// The frequency-batched evaluation core promises BIT-IDENTICAL results to
-// both the compiled scalar plan (CompiledNetlist) and the legacy per-call
-// analyses, for every chunking of the grid across workspaces: the SoA
-// tables hold exactly the values the element closures return, batched
-// assembly replays the same additions in the same order, and the blocked
-// LU/substitution kernels perform per-lane exactly the scalar
-// factorization's arithmetic.  Every comparison here is therefore an
-// exact == on doubles, not a tolerance — except the one golden pin at the
-// bottom, which guards absolute values across toolchains.
+// The frequency-batched evaluation core is the only production path; the
+// per-call analyses (circuit::s_params / noise_analysis, one assembly and
+// factorization per call) are its test oracle.  The core promises
+// BIT-IDENTICAL results to the oracle for every chunking of the grid
+// across workspaces: the SoA tables hold exactly the values the element
+// closures return, batched assembly replays the same additions in the
+// same order, and the blocked LU/substitution kernels perform per-lane
+// exactly the scalar factorization's arithmetic.  Every comparison here is
+// therefore an exact == on doubles, not a tolerance — except the one
+// golden pin at the bottom, which guards absolute values across
+// toolchains.
 #include <gtest/gtest.h>
 
 #include <numbers>
@@ -17,12 +19,14 @@
 #include <vector>
 
 #include "amplifier/lna.h"
+#include "amplifier/plan_writers.h"
 #include "circuit/analysis.h"
 #include "circuit/batched.h"
-#include "circuit/compiled.h"
 #include "circuit/netlist.h"
 #include "circuit/noisy_twoport.h"
 #include "device/phemt.h"
+#include "passives/catalog.h"
+#include "rf/metrics.h"
 #include "rf/sweep.h"
 #include "rf/units.h"
 
@@ -60,8 +64,10 @@ void expect_report_eq(const amplifier::BandReport& a,
   EXPECT_EQ(a.id_a, b.id_a);
 }
 
-/// Random two-port ladder drawing from every element kind the netlist
-/// supports (same corpus family as test_compiled.cpp, fresh seed).
+/// Random two-port ladder: series elements chain port 1 to port 2 with a
+/// random shunt from every intermediate node, drawing from every element
+/// kind the netlist supports (R, L, C, dispersive lossy impedance, passive
+/// two-port, noisy three-terminal).
 Netlist random_netlist(std::mt19937& rng) {
   std::uniform_real_distribution<double> ur(0.0, 1.0);
   const auto r_val = [&] { return 10.0 + 290.0 * ur(rng); };
@@ -140,11 +146,10 @@ Netlist random_netlist(std::mt19937& rng) {
 
 /// Runs the batched plan over `grid` split into `nchunks` contiguous
 /// workspace chunks and checks every lane bit-identical against the
-/// compiled scalar plan AND the legacy per-call analyses; also checks
-/// noise_sweep against lane-by-lane noise_at.
+/// per-call oracle analyses; also checks noise_sweep against lane-by-lane
+/// noise_at.
 void expect_batched_matches(const Netlist& nl, const std::vector<double>& grid,
                             std::size_t nchunks) {
-  CompiledNetlist cplan(nl, grid);
   const BatchedPlan bplan(nl, grid);
   const std::size_t nf = grid.size();
   nchunks = std::min(nchunks, nf);
@@ -160,10 +165,8 @@ void expect_batched_matches(const Netlist& nl, const std::vector<double>& grid,
       SCOPED_TRACE("lane " + std::to_string(fi) + " of chunk " +
                    std::to_string(c) + "/" + std::to_string(nchunks));
       const rf::SParams s = bplan.s_params_at(ws, fi);
-      expect_bitwise_eq(s, cplan.s_params_at(fi));
       expect_bitwise_eq(s, s_params(nl, grid[fi]));
       const NoiseResult n = bplan.noise_at(ws, fi, 0, 1);
-      expect_bitwise_eq(n, cplan.noise_at(fi, 0, 1));
       expect_bitwise_eq(n, noise_analysis(nl, 0, 1, grid[fi]));
       expect_bitwise_eq(sweep[fi - r.begin], n);
     }
@@ -173,7 +176,7 @@ void expect_batched_matches(const Netlist& nl, const std::vector<double>& grid,
 // ---------------------------------------------------------------------------
 // Equivalence on the fig. 3 preamplifier netlist, every chunking
 
-TEST(BatchedPlan, MatchesCompiledAndLegacyOnPreamplifier) {
+TEST(BatchedPlan, MatchesOracleOnPreamplifier) {
   const device::Phemt dev = device::Phemt::reference_device();
   const amplifier::LnaDesign lna(dev, amplifier::AmplifierConfig{},
                                  amplifier::DesignVector{});
@@ -191,7 +194,7 @@ TEST(BatchedPlan, MatchesCompiledAndLegacyOnPreamplifier) {
 // Equivalence on a randomized corpus: >= 200 netlist perturbations, each
 // checked at every thread-chunk count
 
-TEST(BatchedPlan, MatchesCompiledAndLegacyOnRandomCorpus) {
+TEST(BatchedPlan, MatchesOracleOnRandomCorpus) {
   std::mt19937 rng(20260807u);
   const std::vector<double> grid = rf::linear_grid(0.8e9, 2.4e9, 5);
   for (int k = 0; k < 200; ++k) {
@@ -236,50 +239,74 @@ TEST(BatchedPlan, TransferSubRangeMatchesFullRange) {
 }
 
 // ---------------------------------------------------------------------------
-// BandReport three-path identity across thread counts and design steps
+// BandReport against the per-call oracle, across thread counts and design
+// steps
+
+/// The oracle band report: per-call s_params / noise_analysis over a fresh
+/// netlist of the design (one assembly and factorization per analysis),
+/// reduced in grid order exactly as amplifier::reduce_band_report
+/// documents — in-band figures first, then mu over the stability grid.
+amplifier::BandReport oracle_report(const amplifier::LnaDesign& lna,
+                                    const std::vector<double>& band) {
+  const Netlist nl = lna.build_netlist();
+  amplifier::BandReport rep;
+  rep.id_a = lna.bias().id_a;
+  double nf_sum = 0.0, gt_sum = 0.0;
+  rep.nf_max_db = -1e9;
+  rep.gt_min_db = 1e9;
+  rep.s11_worst_db = -1e9;
+  rep.s22_worst_db = -1e9;
+  for (const double f : band) {
+    const rf::SParams s = s_params(nl, f);
+    const double nf = noise_analysis(nl, 0, 1, f).noise_figure_db;
+    const double gt = rf::db20(s.s21);
+    nf_sum += nf;
+    gt_sum += gt;
+    rep.nf_max_db = std::max(rep.nf_max_db, nf);
+    rep.gt_min_db = std::min(rep.gt_min_db, gt);
+    rep.s11_worst_db = std::max(rep.s11_worst_db, rf::db20(s.s11));
+    rep.s22_worst_db = std::max(rep.s22_worst_db, rf::db20(s.s22));
+  }
+  rep.nf_avg_db = nf_sum / static_cast<double>(band.size());
+  rep.gt_avg_db = gt_sum / static_cast<double>(band.size());
+  rep.mu_min = 1e9;
+  for (const double f : amplifier::LnaDesign::stability_grid()) {
+    const rf::SParams s = s_params(nl, f);
+    rep.mu_min =
+        std::min(rep.mu_min, std::min(rf::mu_source(s), rf::mu_load(s)));
+  }
+  return rep;
+}
 
 TEST(BatchedPlan, BandReportIdenticalAcrossPathsAndThreads) {
   const device::Phemt dev = device::Phemt::reference_device();
+  const amplifier::AmplifierConfig config;
   const std::vector<double> band = amplifier::LnaDesign::default_band();
+  amplifier::BandEvaluator evaluator(dev, config);
 
-  amplifier::AmplifierConfig batched;           // default: batched plan
-  amplifier::AmplifierConfig compiled;
-  compiled.use_batched_plan = false;
-  amplifier::AmplifierConfig legacy;
-  legacy.use_eval_plan = false;
+  // Value tables each single-field step rewrites on the warm evaluator
+  // (dispersive passives carry a thermal-noise CSD beside their stamp): a
+  // line is its Y-block + Twiss CSD, a chip capacitor its stamp + CSD, a
+  // bias step the drain resistor (stamp + CSD) and the FET (Y-block +
+  // correlated pair), the feedback resistor its stamp + CSD.
+  const std::size_t kTablesPerStep[4] = {2, 2, 4, 2};
 
-  amplifier::BandEvaluator ev_batched(dev, batched);
-  amplifier::BandEvaluator ev_compiled(dev, compiled);
-
-  // A short random walk through design space: every step must agree on
-  // all three paths, at several thread counts, and between the rebinding
-  // evaluators (incremental re-tabulation) and one-shot evaluation.
+  // A short random walk through design space: every step must match the
+  // oracle at every thread count, and so must the warm evaluator that
+  // re-tabulates only what the step moved.
   std::mt19937 rng(7u);
   std::uniform_real_distribution<double> ur(0.0, 1.0);
   amplifier::DesignVector d;
   for (int step = 0; step < 12; ++step) {
     SCOPED_TRACE("design step " + std::to_string(step));
-    const amplifier::LnaDesign on(dev, batched, d);
-    const amplifier::BandReport ref = on.evaluate(band, 1);
-    for (const std::size_t threads : {2u, 4u, 8u}) {
-      expect_report_eq(ref, on.evaluate(band, threads));
+    const amplifier::LnaDesign lna(dev, config, d);
+    const amplifier::BandReport ref = oracle_report(lna, band);
+    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+      expect_report_eq(ref, lna.evaluate(band, threads));
     }
-    const amplifier::LnaDesign off(dev, compiled, d);
-    expect_report_eq(ref, off.evaluate(band, 1));
-    expect_report_eq(ref, off.evaluate(band, 4));
-    const amplifier::LnaDesign old(dev, legacy, d);
-    expect_report_eq(ref, old.evaluate(band, 1));
-    // Rebinding evaluators: direct table writes (batched) and
-    // rebind+sync (compiled) land on the same report.
-    const amplifier::BandReport via_batched = ev_batched.evaluate(d);
-    expect_report_eq(ref, via_batched);
-    expect_report_eq(ref, ev_compiled.evaluate(d));
-    // Both evaluators refresh the same number of value tables per step
-    // (the cold first call counts differently: direct tabulation at plan
-    // construction vs a post-build sync).
-    if (step > 0) {
-      EXPECT_EQ(ev_batched.last_retabulated(), ev_compiled.last_retabulated());
-    }
+    expect_report_eq(ref, evaluator.evaluate(d));
+    EXPECT_EQ(evaluator.last_retabulated(),
+              step == 0 ? 0u : kTablesPerStep[(step - 1) % 4]);
 
     // Random single-field step for the next round.
     switch (step % 4) {
@@ -289,6 +316,27 @@ TEST(BatchedPlan, BandReportIdenticalAcrossPathsAndThreads) {
       default: d.r_fb_ohm = 300.0 + 900.0 * ur(rng); break;
     }
   }
+  // Re-evaluating the bound design rewrites nothing.
+  (void)evaluator.evaluate(d);
+  (void)evaluator.evaluate(d);
+  EXPECT_EQ(evaluator.last_retabulated(), 0u);
+}
+
+TEST(BatchedPlan, IdealPassiveStepRewritesOneTable) {
+  // With ideal (noiseless) L/C passives a capacitor step rewrites exactly
+  // ONE stamp table, and the warm report still matches the oracle.
+  const device::Phemt dev = device::Phemt::reference_device();
+  amplifier::AmplifierConfig config;
+  config.dispersive_passives = false;
+  amplifier::BandEvaluator evaluator(dev, config);
+  amplifier::DesignVector d;
+  (void)evaluator.evaluate(d);
+  d.c_mid_f = 0.8e-12;
+  const amplifier::BandReport warm = evaluator.evaluate(d);
+  EXPECT_EQ(evaluator.last_retabulated(), 1u);
+  expect_report_eq(warm,
+                   oracle_report(amplifier::LnaDesign(dev, config, d),
+                                 amplifier::LnaDesign::default_band()));
 }
 
 // ---------------------------------------------------------------------------
@@ -369,11 +417,12 @@ TEST(EvalWorkspace, PartialRangeRebindKeepsLaneIdentity) {
 
 TEST(EvalWorkspace, RevisionBumpInvalidatesFactorization) {
   const device::Phemt dev = device::Phemt::reference_device();
-  const amplifier::AmplifierConfig config;
+  amplifier::AmplifierConfig config;
+  config.resolve();
   amplifier::DesignVector d;
   const amplifier::LnaDesign lna(dev, config, d);
   amplifier::DesignBindings b;
-  Netlist nl = lna.build_netlist(&b);
+  const Netlist nl = lna.build_netlist(&b);
   const std::vector<double> grid = amplifier::LnaDesign::default_band();
 
   BatchedPlan plan(nl, grid);
@@ -382,21 +431,25 @@ TEST(EvalWorkspace, RevisionBumpInvalidatesFactorization) {
   plan.solve_ports(ws);
   EXPECT_TRUE(ws.factored());
 
-  // Mutating a matrix-side element bumps the plan revision: the old
-  // factorization must refuse to serve solves...
+  // A direct write of a matrix-side table plus mark_values_dirty() bumps
+  // the plan revision: the old factorization must refuse to serve
+  // solves...
   d.c_mid_f = 0.9e-12;
-  const amplifier::LnaDesign lna2(dev, config, d);
-  lna2.rebind_netlist(nl, b, &lna.design());
+  amplifier::planw::write_lossy(
+      plan, b.cmid, passives::make_capacitor(d.c_mid_f, config.package),
+      config.t_ambient_k);
   const std::uint64_t before = plan.revision();
-  plan.sync(nl);
+  plan.mark_values_dirty();
   EXPECT_GT(plan.revision(), before);
   EXPECT_THROW(plan.solve_ports(ws), std::logic_error);
   EXPECT_THROW(plan.s_params_at(ws, 0), std::logic_error);
 
-  // ...and a re-factor answers exactly like a plan compiled fresh.
+  // ...and a re-factor answers exactly like a fresh plan of the new
+  // design.
   plan.factor(ws, 0, grid.size());
   plan.solve_ports(ws);
-  const BatchedPlan fresh_plan(nl, grid);
+  const BatchedPlan fresh_plan(
+      amplifier::LnaDesign(dev, config, d).build_netlist(), grid);
   EvalWorkspace fresh_ws;
   fresh_plan.factor(fresh_ws, 0, grid.size());
   fresh_plan.solve_ports(fresh_ws);
@@ -405,8 +458,10 @@ TEST(EvalWorkspace, RevisionBumpInvalidatesFactorization) {
                       fresh_plan.s_params_at(fresh_ws, fi));
   }
 
-  // A sync that changes nothing keeps the factorization valid.
-  plan.sync(nl);
+  // Factoring again without a new write is a no-op that keeps the
+  // factorization valid.
+  plan.factor(ws, 0, grid.size());
+  EXPECT_TRUE(ws.factored());
   expect_bitwise_eq(plan.s_params_at(ws, 0),
                     fresh_plan.s_params_at(fresh_ws, 0));
 }

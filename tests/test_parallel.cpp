@@ -7,11 +7,18 @@
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
+#include <thread>
 #include <vector>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "amplifier/corners.h"
 #include "amplifier/objectives.h"
 #include "amplifier/yield.h"
+#include "mission/objective.h"
+#include "numeric/thread_slots.h"
 #include "optimize/goal_attainment.h"
 #include "numeric/parallel.h"
 #include "numeric/rng.h"
@@ -156,6 +163,86 @@ TEST(RngSplit, StreamsAreDistinct) {
   numeric::Rng b = rng.split(1);
   // Equality of the first draw would be a 2^-64 coincidence.
   EXPECT_NE(a.next_u64(), b.next_u64());
+}
+
+// ---------------------------------------------------------------------------
+// Per-thread memo slots: one slot per calling thread, owned by (and freed
+// with) the object that holds them.
+
+/// Counts live instances so a test can see slots being destroyed.
+struct CountedSlot {
+  static inline std::atomic<int> live{0};
+  int value = 0;
+  CountedSlot() { ++live; }
+  ~CountedSlot() { --live; }
+};
+
+TEST(ThreadSlots, OneSlotPerThreadFreedWithTheOwner) {
+  ASSERT_EQ(CountedSlot::live.load(), 0);
+  {
+    numeric::ThreadSlots<CountedSlot> a, b;
+    a.local().value = 1;
+    b.local().value = 2;
+    // Alternating owners on one thread resolves each to its own slot.
+    EXPECT_EQ(a.local().value, 1);
+    EXPECT_EQ(b.local().value, 2);
+    EXPECT_EQ(&a.local(), &a.local());
+    std::thread other([&] {
+      EXPECT_EQ(a.local().value, 0);  // a fresh slot, not the caller's
+      a.local().value = 3;
+    });
+    other.join();
+    EXPECT_EQ(a.local().value, 1);
+    EXPECT_EQ(CountedSlot::live.load(), 3);  // a: 2 threads, b: 1
+  }
+  EXPECT_EQ(CountedSlot::live.load(), 0);
+  // A new owner never sees a destroyed owner's slot.
+  numeric::ThreadSlots<CountedSlot> c;
+  EXPECT_EQ(c.local().value, 0);
+}
+
+/// Bytes currently held by malloc (glibc accounting; sanitizer runtimes
+/// replace malloc, and then this reads as a constant).
+std::size_t heap_in_use() {
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33)
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+#else
+  return 0;
+#endif
+}
+
+TEST(ThreadSlots, ShortLivedObjectivesLeaveNoMemoBehind) {
+  // Every objective keeps a persistent evaluator per calling thread.  A
+  // process-lifetime thread (a service worker) that evaluates and drops
+  // many short-lived objectives must get that memory back: resident heap
+  // stays flat instead of growing by one evaluator per objective.
+  const device::Phemt dev = device::Phemt::reference_device();
+  const amplifier::AmplifierConfig config;
+  const std::vector<double> x = amplifier::DesignVector{}.to_vector();
+  const auto band_problem = [&] {
+    const optimize::GoalProblem p =
+        amplifier::make_nf_gain_problem(dev, config, amplifier::DesignGoals{});
+    (void)p.objectives(x);
+  };
+  const mission::Scenario& scenario = *mission::find_scenario("urban_canyon");
+  const auto scenario_objective = [&] {
+    const mission::ScenarioObjective o(dev, config, scenario);
+    (void)o.objectives()(x);
+  };
+
+  for (int i = 0; i < 10; ++i) {  // warm-up: lazily built statics
+    band_problem();
+    scenario_objective();
+  }
+  const std::size_t before = heap_in_use();
+  for (int i = 0; i < 200; ++i) band_problem();
+  for (int i = 0; i < 50; ++i) scenario_objective();
+  const std::size_t after = heap_in_use();
+  // One leaked band evaluator is ~125 KB and one scenario slot ~400 KB,
+  // so a leak would grow the heap by ~45 MB here.
+  EXPECT_LT(after, before + (4u << 20))
+      << "heap grew by " << (after - before) << " bytes";
 }
 
 // ---------------------------------------------------------------------------
@@ -395,10 +482,9 @@ TEST(ParallelAmplifier, BandEvaluationIsBitIdenticalAcrossThreadCounts) {
 
 // The telemetry layer promises that counter TOTALS are bit-identical for
 // any thread count (thread-local shards + commutative integer merge).  The
-// only exceptions are the counters tracking per-thread evaluator rebind
-// and workspace state — which design a thread's persistent evaluation
-// plan saw last, and how much arena each thread's workspace committed,
-// depend on work distribution by construction.
+// only exceptions are the counters tracking per-thread workspace state —
+// how often a thread's workspace was reused and how much arena it
+// committed depend on work distribution by construction.
 TEST(ParallelObs, EvaluationCounterTotalsAreBitIdenticalAcrossThreadCounts) {
   const bool was_enabled = obs::enabled();
   obs::set_enabled(true);
@@ -411,10 +497,7 @@ TEST(ParallelObs, EvaluationCounterTotalsAreBitIdenticalAcrossThreadCounts) {
   for (int i = 0; i < 8; ++i) points.push_back(problem.bounds.sample(rng));
 
   const auto is_rebind_counter = [](const std::string& name) {
-    return name == "circuit.plan.syncs" ||
-           name == "circuit.plan.stamp_retabulations" ||
-           name == "circuit.plan.noise_retabulations" ||
-           name == "circuit.batch.workspace_reuses" ||
+    return name == "circuit.batch.workspace_reuses" ||
            name == "circuit.batch.arena_bytes_hwm";
   };
   const auto run = [&](std::size_t threads) {

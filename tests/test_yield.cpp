@@ -9,7 +9,9 @@
 // order-independent integer arithmetic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "amplifier/yield.h"
@@ -203,22 +205,66 @@ TEST(YieldDraws, SobolDrawPerturbsEveryToleratedParameter) {
 // Engine equivalence and determinism
 
 TEST(YieldEngine, PlanReuseMatchesPerTrialRebuildBitForBit) {
+  // The engine (one persistent plan per worker, perturbed tables re-stamped
+  // per trial) against a test-local loop that builds a fresh LnaDesign per
+  // trial: every trial's figures agree bit for bit, and so do the report
+  // fields the loop forms exactly (counts and extrema).
   const DesignGoals goals = loose_goals();
+  const AmplifierConfig config = resolved_config();
+  const std::vector<double> band = LnaDesign::default_band();
+  const DesignVector nominal;
+  constexpr std::size_t kTrials = 10;
   for (const YieldSampler sampler :
        {YieldSampler::kPseudoRandom, YieldSampler::kSobol}) {
-    YieldOptions engine;
-    engine.sampler = sampler;
-    YieldOptions rebuild = engine;
-    rebuild.reuse_plan = false;
+    const std::string what = sampler == YieldSampler::kSobol
+                                 ? "sobol engine-vs-rebuild"
+                                 : "pseudo engine-vs-rebuild";
+    YieldOptions options;
+    options.sampler = sampler;
     numeric::Rng rng_a(314);
+    const YieldReport engine =
+        run_yield(ref(), config, nominal, goals, kTrials, rng_a, options);
+
+    // The draws run_yield makes: one fork, then trial i of that snapshot.
     numeric::Rng rng_b(314);
-    const YieldReport a = run_yield(ref(), resolved_config(), DesignVector{},
-                                    goals, 10, rng_a, engine);
-    const YieldReport b = run_yield(ref(), resolved_config(), DesignVector{},
-                                    goals, 10, rng_b, rebuild);
-    expect_reports_identical(a, b, sampler == YieldSampler::kSobol
-                                       ? "sobol engine-vs-rebuild"
-                                       : "pseudo engine-vs-rebuild");
+    const numeric::Rng root = rng_b.fork();
+    const numeric::ScrambledSobol sobol(kYieldTrialDimensions, root);
+    YieldTrialEvaluator evaluator(ref(), config, nominal, band);
+    std::size_t passes = 0;
+    double nf_min = INFINITY, nf_max = -INFINITY;
+    double gt_min = INFINITY, gt_max = -INFINITY;
+    for (std::size_t i = 0; i < kTrials; ++i) {
+      const TrialDraw draw =
+          sampler == YieldSampler::kSobol
+              ? sobol_trial_draw(sobol, i, nominal, config.substrate, {})
+              : pseudo_trial_draw(root, i, nominal, config.substrate, {});
+      AmplifierConfig cfg = config;
+      cfg.substrate = draw.substrate;
+      const BandReport rebuilt =
+          LnaDesign(ref(), cfg, draw.design).evaluate(band);
+      const bool pass = rebuilt.nf_avg_db <= goals.nf_goal_db &&
+                        rebuilt.gt_min_db >= goals.gain_goal_db &&
+                        rebuilt.s11_worst_db <= goals.s11_goal_db &&
+                        rebuilt.s22_worst_db <= goals.s22_goal_db &&
+                        rebuilt.mu_min >= goals.mu_margin;
+      const TrialOutcome reused = evaluator.evaluate(draw, goals);
+      ASSERT_FALSE(reused.failed) << what << " trial " << i;
+      EXPECT_EQ(reused.nf_avg_db, rebuilt.nf_avg_db) << what << " trial " << i;
+      EXPECT_EQ(reused.gt_min_db, rebuilt.gt_min_db) << what << " trial " << i;
+      EXPECT_EQ(reused.pass, pass) << what << " trial " << i;
+      passes += pass ? 1 : 0;
+      nf_min = std::min(nf_min, rebuilt.nf_avg_db);
+      nf_max = std::max(nf_max, rebuilt.nf_avg_db);
+      gt_min = std::min(gt_min, rebuilt.gt_min_db);
+      gt_max = std::max(gt_max, rebuilt.gt_min_db);
+    }
+    EXPECT_EQ(engine.samples, kTrials) << what;
+    EXPECT_EQ(engine.passes, passes) << what;
+    EXPECT_EQ(engine.failed_evals, 0u) << what;
+    EXPECT_EQ(engine.nf_avg_min_db, nf_min) << what;
+    EXPECT_EQ(engine.nf_avg_max_db, nf_max) << what;
+    EXPECT_EQ(engine.gt_min_min_db, gt_min) << what;
+    EXPECT_EQ(engine.gt_min_max_db, gt_max) << what;
   }
 }
 
