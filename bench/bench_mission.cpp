@@ -11,8 +11,10 @@
 //      shell x observer x epoch, DOP solves, sky integral, derived NF
 //      goal.  Paid once per ScenarioObjective construction.
 //   3. Weighted objective: one ScenarioObjective::figures() evaluation
-//      at a fresh design point (memo-busting bias perturbation) — the
-//      full-band constraint report plus all sub-band grids.  This is
+//      at a fresh design point (memo-busting bias perturbation) — one
+//      batched pass over the union grid (full band, every distinct
+//      sub-band carrier, stability), reduced per lane range into the
+//      full-band constraint report and the sub-band reports.  This is
 //      the per-candidate cost of a scenario design run.
 //
 //   --json <path>   write bench_util schema-v2 records:

@@ -281,56 +281,61 @@ std::vector<double> LnaDesign::stability_grid() {
   return rf::linear_grid(0.5e9, 3.5e9, 9);
 }
 
-BandReport reduce_band_report(const circuit::BatchedPlan& plan,
-                              std::span<const circuit::EvalWorkspace> chunks,
-                              const circuit::NoiseResult* noise,
-                              std::size_t band_points, double id_a) {
-  auto ws = chunks.begin();
+void reduce_band_report(const circuit::BatchedPlan& plan,
+                        std::span<const circuit::EvalWorkspace> chunks,
+                        const circuit::NoiseResult* noise,
+                        std::span<const LaneRange> bands,
+                        std::size_t stability_begin, double id_a,
+                        std::span<BandReport> reports) {
   const auto s_at = [&](std::size_t fi) {
-    while (fi >= ws->f_end()) {
-      if (++ws == chunks.end()) {
-        throw std::logic_error("reduce_band_report: chunks do not cover grid");
-      }
+    // Chunks tile the grid from lane 0: the first one ending past fi
+    // holds it.
+    for (const circuit::EvalWorkspace& ws : chunks) {
+      if (fi < ws.f_end()) return plan.s_params_at(ws, fi);
     }
-    return plan.s_params_at(*ws, fi);
+    throw std::logic_error("reduce_band_report: chunks do not cover grid");
   };
-  BandReport rep;
-  rep.id_a = id_a;
-  double nf_sum = 0.0, gt_sum = 0.0;
-  rep.nf_max_db = -1e9;
-  rep.gt_min_db = 1e9;
-  rep.s11_worst_db = -1e9;
-  rep.s22_worst_db = -1e9;
-  for (std::size_t fi = 0; fi < band_points; ++fi) {
+  double mu_min = 1e9;
+  for (std::size_t fi = stability_begin; fi < plan.size(); ++fi) {
     const rf::SParams s = s_at(fi);
-    const double nf_db = noise[fi].noise_figure_db;
-    const double gt = rf::db20(s.s21);
-    nf_sum += nf_db;
-    gt_sum += gt;
-    rep.nf_max_db = std::max(rep.nf_max_db, nf_db);
-    rep.gt_min_db = std::min(rep.gt_min_db, gt);
-    rep.s11_worst_db = std::max(rep.s11_worst_db, rf::db20(s.s11));
-    rep.s22_worst_db = std::max(rep.s22_worst_db, rf::db20(s.s22));
+    mu_min = std::min(mu_min, std::min(rf::mu_source(s), rf::mu_load(s)));
   }
-  rep.nf_avg_db = nf_sum / static_cast<double>(band_points);
-  rep.gt_avg_db = gt_sum / static_cast<double>(band_points);
-  rep.mu_min = 1e9;
-  for (std::size_t fi = band_points; fi < plan.size(); ++fi) {
-    const rf::SParams s = s_at(fi);
-    rep.mu_min =
-        std::min(rep.mu_min, std::min(rf::mu_source(s), rf::mu_load(s)));
+  for (std::size_t k = 0; k < bands.size(); ++k) {
+    BandReport& rep = reports[k];
+    rep.id_a = id_a;
+    double nf_sum = 0.0, gt_sum = 0.0;
+    rep.nf_max_db = -1e9;
+    rep.gt_min_db = 1e9;
+    rep.s11_worst_db = -1e9;
+    rep.s22_worst_db = -1e9;
+    for (std::size_t fi = bands[k].begin; fi < bands[k].end; ++fi) {
+      const rf::SParams s = s_at(fi);
+      const double nf_db = noise[fi].noise_figure_db;
+      const double gt = rf::db20(s.s21);
+      nf_sum += nf_db;
+      gt_sum += gt;
+      rep.nf_max_db = std::max(rep.nf_max_db, nf_db);
+      rep.gt_min_db = std::min(rep.gt_min_db, gt);
+      rep.s11_worst_db = std::max(rep.s11_worst_db, rf::db20(s.s11));
+      rep.s22_worst_db = std::max(rep.s22_worst_db, rf::db20(s.s22));
+    }
+    const double points = static_cast<double>(bands[k].end - bands[k].begin);
+    rep.nf_avg_db = nf_sum / points;
+    rep.gt_avg_db = gt_sum / points;
+    rep.mu_min = mu_min;
   }
-  return rep;
 }
 
-BandReport band_pass(const circuit::BatchedPlan& plan,
-                     circuit::EvalWorkspace& ws, circuit::NoiseResult* noise,
-                     std::size_t band_points, double id_a) {
+void band_pass(const circuit::BatchedPlan& plan, circuit::EvalWorkspace& ws,
+               circuit::NoiseResult* noise, std::size_t stability_begin,
+               std::span<const LaneRange> bands, double id_a,
+               std::span<BandReport> reports) {
   plan.factor(ws, 0, plan.size());
   plan.solve_ports(ws);
-  plan.solve_output_transfer(ws, 1, 0, band_points);
+  plan.solve_output_transfer(ws, 1, 0, stability_begin);
   plan.noise_sweep(ws, 0, 1, noise);
-  return reduce_band_report(plan, {&ws, 1}, noise, band_points, id_a);
+  reduce_band_report(plan, {&ws, 1}, noise, bands, stability_begin, id_a,
+                     reports);
 }
 
 BandReport LnaDesign::evaluate(const std::vector<double>& band_hz,
@@ -367,22 +372,38 @@ BandReport LnaDesign::evaluate(const std::vector<double>& band_hz,
   } else {
     numeric::parallel_for(threads, nchunks, run_chunk);
   }
-  return reduce_band_report(plan, workspaces, noise.data(), band_points,
-                            bias_.id_a);
+  const LaneRange band{0, band_points};
+  BandReport report;
+  reduce_band_report(plan, workspaces, noise.data(), {&band, 1}, band_points,
+                     bias_.id_a, {&report, 1});
+  return report;
 }
 
 BandEvaluator::BandEvaluator(const device::Phemt& device,
                              AmplifierConfig config,
-                             std::vector<double> band_hz)
+                             std::vector<double> band_hz,
+                             std::vector<LaneRange> ranges)
     : device_(device),
       config_(std::move(config)),
       band_hz_(band_hz.empty() ? LnaDesign::default_band()
                                : std::move(band_hz)),
+      ranges_(ranges.empty() ? std::vector<LaneRange>{{0, band_hz_.size()}}
+                             : std::move(ranges)),
       noise_buf_(band_hz_.size()) {
+  for (const LaneRange& r : ranges_) {
+    if (r.begin >= r.end || r.end > band_hz_.size()) {
+      throw std::invalid_argument(
+          "BandEvaluator: lane range empty or outside the band");
+    }
+  }
   config_.resolve();
 }
 
-BandReport BandEvaluator::evaluate(const DesignVector& design) {
+void BandEvaluator::evaluate(const DesignVector& design,
+                             std::span<BandReport> reports) {
+  if (reports.size() != ranges_.size()) {
+    throw std::invalid_argument("BandEvaluator: one report per lane range");
+  }
   GNSSLNA_OBS_SPAN("amplifier.band_evaluate");
   GNSSLNA_OBS_COUNT("amplifier.band_evaluations");
   if (built_) {
@@ -390,8 +411,14 @@ BandReport BandEvaluator::evaluate(const DesignVector& design) {
   } else {
     build(design);
   }
-  return band_pass(bplan_, workspace_, noise_buf_.data(), band_hz_.size(),
-                   bias_.id_a);
+  band_pass(bplan_, workspace_, noise_buf_.data(), band_hz_.size(), ranges_,
+            bias_.id_a, reports);
+}
+
+BandReport BandEvaluator::evaluate(const DesignVector& design) {
+  BandReport report;
+  evaluate(design, {&report, 1});
+  return report;
 }
 
 void BandEvaluator::build(const DesignVector& design) {
@@ -467,31 +494,39 @@ void BandEvaluator::retabulate(const DesignVector& design) {
   force_full_retab_ = true;
   std::size_t retabulated = 0;
   const double t = config_.t_ambient_k;
+  // Noise is priced on the in-band lanes only, so the stability lanes'
+  // noise CSDs are never read and never rewritten.
+  const std::size_t nb = band_hz_.size();
   if (config_.dispersive_passives) {
     if (changed(&DesignVector::c_in_f)) {
       retabulated += planw::write_lossy(
           bplan_, bindings_.cin,
-          passives::make_capacitor(design.c_in_f, config_.package), t);
+          passives::make_capacitor(design.c_in_f, config_.package), t,
+          nb);
     }
     if (changed(&DesignVector::l_shunt_h)) {
       retabulated += planw::write_lossy(
           bplan_, bindings_.lshunt,
-          passives::make_inductor(design.l_shunt_h, config_.package), t);
+          passives::make_inductor(design.l_shunt_h, config_.package), t,
+          nb);
     }
     if (changed(&DesignVector::c_mid_f)) {
       retabulated += planw::write_lossy(
           bplan_, bindings_.cmid,
-          passives::make_capacitor(design.c_mid_f, config_.package), t);
+          passives::make_capacitor(design.c_mid_f, config_.package), t,
+          nb);
     }
     if (changed(&DesignVector::l_sdeg_h)) {
       retabulated += planw::write_lossy(
           bplan_, bindings_.lsdeg,
-          passives::make_inductor(design.l_sdeg_h, config_.package), t);
+          passives::make_inductor(design.l_sdeg_h, config_.package), t,
+          nb);
     }
     if (changed(&DesignVector::c_out_sh_f)) {
       retabulated += planw::write_lossy(
           bplan_, bindings_.coutsh,
-          passives::make_capacitor(design.c_out_sh_f, config_.package), t);
+          passives::make_capacitor(design.c_out_sh_f, config_.package), t,
+          nb);
     }
   } else {
     if (changed(&DesignVector::c_in_f)) {
@@ -516,34 +551,36 @@ void BandEvaluator::retabulate(const DesignVector& design) {
     }
   }
   if (changed(&DesignVector::r_fb_ohm)) {
-    retabulated += planw::write_resistor(bplan_, bindings_.rfb, design.r_fb_ohm, t);
+    retabulated += planw::write_resistor(bplan_, bindings_.rfb, design.r_fb_ohm,
+                                         t, nb);
   }
   if (bias_changed) {
-    retabulated += planw::write_resistor(bplan_, bindings_.rdrain, bias.r_drain, t);
+    retabulated += planw::write_resistor(bplan_, bindings_.rdrain, bias.r_drain,
+                                         t, nb);
   }
   if (changed(&DesignVector::l_in_m)) {
     retabulated += planw::write_line(
         bplan_, bindings_.tlin1,
         microstrip::Line(config_.substrate, config_.w50_m, design.l_in_m),
-        w50_prop_, t);
+        w50_prop_, t, nb);
   }
   if (changed(&DesignVector::l_in2_m)) {
     retabulated += planw::write_line(
         bplan_, bindings_.tlin2,
         microstrip::Line(config_.substrate, config_.w50_m, design.l_in2_m),
-        w50_prop_, t);
+        w50_prop_, t, nb);
   }
   if (changed(&DesignVector::l_out_m)) {
     retabulated += planw::write_line(
         bplan_, bindings_.tlout1,
         microstrip::Line(config_.substrate, config_.w50_m, design.l_out_m),
-        w50_prop_, t);
+        w50_prop_, t, nb);
   }
   if (changed(&DesignVector::l_out2_m)) {
     retabulated += planw::write_line(
         bplan_, bindings_.tlout2,
         microstrip::Line(config_.substrate, config_.w50_m, design.l_out2_m),
-        w50_prop_, t);
+        w50_prop_, t, nb);
   }
   if (bias_changed) {
     // Same hoisting as fet_closures: the small-signal extraction is a
@@ -552,7 +589,7 @@ void BandEvaluator::retabulate(const DesignVector& design) {
     const device::IntrinsicParams ip =
         device_.small_signal(device::Bias{design.vgs, design.vds});
     retabulated += planw::write_fet(bplan_, bindings_.q1, ip, device_.extrinsics(),
-                             nt_adj_);
+                             nt_adj_, nb);
   }
   force_full_retab_ = false;
   bias_ = bias;

@@ -29,26 +29,40 @@ struct BandReport {
   double id_a = 0.0;         ///< DC drain current
 };
 
-/// Reduces a BandReport from a factored, port-solved batched plan whose
-/// grid is `band_points` in-band frequencies followed by the stability
-/// grid.  `chunks` are the workspaces that cover the grid in contiguous
-/// lane order (a single one on the serial paths); noise[fi] is lane fi's
-/// noise result for every band lane.  The accumulation runs serially in
-/// grid order, so the report is bit-identical however the lanes were
-/// chunked.  The one reduction behind LnaDesign::evaluate, BandEvaluator
-/// and the yield engine's trials.
-BandReport reduce_band_report(const circuit::BatchedPlan& plan,
-                              std::span<const circuit::EvalWorkspace> chunks,
-                              const circuit::NoiseResult* noise,
-                              std::size_t band_points, double id_a);
+/// Contiguous in-band lane range [begin, end) of a band evaluation grid:
+/// the lanes one BandReport's in-band figures are reduced from.
+struct LaneRange {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
 
-/// The serial band pass over the whole grid of `plan`: factors `ws`,
-/// solves the ports and the in-band output transfer, writes the band
-/// lanes' noise into noise[0, band_points) and reduces the report.  Shared
-/// by BandEvaluator and the yield engine's trials.
-BandReport band_pass(const circuit::BatchedPlan& plan,
-                     circuit::EvalWorkspace& ws, circuit::NoiseResult* noise,
-                     std::size_t band_points, double id_a);
+/// Reduces reports[k] from a factored, port-solved batched plan whose grid
+/// is the in-band lanes [0, stability_begin) followed by the stability
+/// grid: report k's in-band figures come from lanes bands[k] (inside
+/// [0, stability_begin)), and every report carries the one mu_min of the
+/// stability lanes.  `chunks` are the workspaces that cover the grid in
+/// contiguous lane order (a single one on the serial paths); noise[fi] is
+/// lane fi's noise result for every in-band lane.  The accumulation runs
+/// serially in grid order, so the reports are bit-identical however the
+/// lanes were chunked.  The one reduction behind every band report:
+/// LnaDesign::evaluate, BandEvaluator and the yield engine's trials.
+void reduce_band_report(const circuit::BatchedPlan& plan,
+                        std::span<const circuit::EvalWorkspace> chunks,
+                        const circuit::NoiseResult* noise,
+                        std::span<const LaneRange> bands,
+                        std::size_t stability_begin, double id_a,
+                        std::span<BandReport> reports);
+
+/// The serial band pass over the whole grid of `plan` (in-band lanes
+/// [0, stability_begin), then the stability grid): factors `ws`, solves the
+/// ports, runs one output-transfer solve and one noise sweep over the
+/// in-band lanes (writing noise[0, stability_begin)), and reduces
+/// reports[k] from lanes bands[k] (reduce_band_report).  Shared by
+/// BandEvaluator and the yield engine's trials.
+void band_pass(const circuit::BatchedPlan& plan, circuit::EvalWorkspace& ws,
+               circuit::NoiseResult* noise, std::size_t stability_begin,
+               std::span<const LaneRange> bands, double id_a,
+               std::span<BandReport> reports);
 
 /// Handles to the elements of an LNA netlist that depend on the design
 /// vector (or its derived bias network): their indices address the value
@@ -133,19 +147,33 @@ class LnaDesign {
 /// Netlist) — fixed elements (and their dispersion curves) are tabulated
 /// once for the whole run.  After the first call the steady state performs
 /// ZERO heap allocations (pinned by tests/test_alloc_free.cpp and the bench
-/// allocs_per_op counter).  Reports are bit-identical to
-/// LnaDesign::evaluate().
+/// allocs_per_op counter).
+///
+/// One evaluation can price several bands at once: the in-band grid is the
+/// concatenation of their points, and each report is reduced from its own
+/// lane range of the one factored plan (mission::ScenarioObjective prices
+/// the full band and every constellation sub-band this way).  Each report
+/// is bit-identical to LnaDesign::evaluate() over that range's points.
 ///
 /// NOT thread-safe: hold one instance per thread (see
 /// objectives.cpp::ReportCache).
 class BandEvaluator {
  public:
-  /// Band defaults to LnaDesign::default_band() when empty.
+  /// Band defaults to LnaDesign::default_band() when empty.  `ranges` are
+  /// the in-band lane ranges reduced to one report each (non-empty,
+  /// inside band_hz); empty means one report over the whole band.
   BandEvaluator(const device::Phemt& device, AmplifierConfig config,
-                std::vector<double> band_hz = {});
+                std::vector<double> band_hz = {},
+                std::vector<LaneRange> ranges = {});
 
-  /// Evaluates one design point.  Throws like LnaDesign for infeasible
-  /// designs (bias unreachable etc.); the evaluator stays usable.
+  /// Evaluates one design point and writes reports[k] for the k-th lane
+  /// range (one report per range, else std::invalid_argument).  Throws
+  /// like LnaDesign for infeasible designs (bias unreachable etc.); the
+  /// evaluator stays usable.
+  void evaluate(const DesignVector& design, std::span<BandReport> reports);
+
+  /// evaluate() of a single-range evaluator (the default): the report
+  /// over the whole band.
   BandReport evaluate(const DesignVector& design);
 
   /// Element/noise tables refreshed by the last evaluate() (diagnostics
@@ -168,6 +196,7 @@ class BandEvaluator {
   device::Phemt device_;
   AmplifierConfig config_;
   std::vector<double> band_hz_;
+  std::vector<LaneRange> ranges_;
   bool built_ = false;
   DesignVector last_;  ///< design the plan is currently bound to
   std::size_t last_retabulated_ = 0;
@@ -182,7 +211,7 @@ class BandEvaluator {
   /// so every design-vector line length reuses this table
   /// (abcd_from(propagation(f)) == abcd(f) bit-for-bit).
   std::vector<microstrip::Line::Propagation> w50_prop_;
-  /// Per-band-lane noise results from the batched sweep.
+  /// Per-in-band-lane noise results from the batched sweep.
   std::vector<circuit::NoiseResult> noise_buf_;
   BiasNetwork bias_;                  ///< bias for `last_` (id_a, r_drain)
   device::NoiseTemperatures nt_adj_;  ///< ambient-scaled FET temperatures

@@ -424,9 +424,11 @@ TrialOutcome YieldTrialEvaluator::evaluate(const TrialDraw& draw,
     draw.substrate.validate();
     const BiasNetwork bias = design_bias(device_, draw.design, config_);
     retabulate(draw, bias);
-    return outcome_from(band_pass(bplan_, workspace_, noise_buf_.data(),
-                                  band_hz_.size(), bias.id_a),
-                        goals);
+    const LaneRange band{0, band_hz_.size()};
+    BandReport report;
+    band_pass(bplan_, workspace_, noise_buf_.data(), band.end, {&band, 1},
+              bias.id_a, {&report, 1});
+    return outcome_from(report, goals);
   } catch (const std::exception&) {
     TrialOutcome out;
     out.failed = true;

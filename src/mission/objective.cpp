@@ -13,7 +13,10 @@ std::vector<double> sub_band_grid(double carrier_hz) {
 }
 
 /// Memoizes the Figures of the most recent design point, with one
-/// persistent BandEvaluator per distinct evaluation grid.  Slots are per
+/// persistent BandEvaluator over the scenario's union grid: the full band
+/// (report 0), then the 3-point grid of each distinct sub-band carrier
+/// (report 1 + carrier index), then the stability grid every report shares.
+/// One factorization per design point prices every report.  Slots are per
 /// thread (numeric::ThreadSlots, freed with the cache), exactly like
 /// amplifier/objectives.cpp::ReportCache: closures may be evaluated
 /// concurrently by parallel_map, recomputation is pure, so reports are
@@ -22,17 +25,26 @@ class ScenarioObjective::Cache {
  public:
   Cache(device::Phemt device, amplifier::AmplifierConfig config,
         const ScenarioAnalysis& analysis)
-      : device_(std::move(device)), config_(std::move(config)) {
+      : device_(std::move(device)),
+        config_(std::move(config)),
+        grid_(amplifier::LnaDesign::default_band()),
+        ranges_{{0, grid_.size()}} {
     config_.resolve();
-    // Distinct sub-band grids (GPS and Galileo share 1575.42 MHz; one
-    // evaluator serves both).
+    // Distinct sub-band carriers (GPS and Galileo share 1575.42 MHz; one
+    // lane range serves both).
+    std::vector<double> carriers;
     for (const SubBand& band : analysis.sub_bands) {
       std::size_t g = 0;
-      for (; g < carriers_.size(); ++g) {
-        if (carriers_[g] == band.carrier_hz) break;
+      for (; g < carriers.size(); ++g) {
+        if (carriers[g] == band.carrier_hz) break;
       }
-      if (g == carriers_.size()) carriers_.push_back(band.carrier_hz);
-      grid_of_band_.push_back(g);
+      if (g == carriers.size()) {
+        carriers.push_back(band.carrier_hz);
+        const std::vector<double> sub = sub_band_grid(band.carrier_hz);
+        ranges_.push_back({grid_.size(), grid_.size() + sub.size()});
+        grid_.insert(grid_.end(), sub.begin(), sub.end());
+      }
+      report_of_band_.push_back(1 + g);
       weights_.push_back(band.weight);
     }
   }
@@ -43,28 +55,22 @@ class ScenarioObjective::Cache {
     GNSSLNA_OBS_COUNT("mission.objective.evaluations");
     slot.valid = true;
     slot.x = x;
-    if (slot.full == nullptr) {
-      slot.full = std::make_unique<amplifier::BandEvaluator>(
-          device_, config_, amplifier::LnaDesign::default_band());
-      for (const double carrier : carriers_) {
-        slot.sub.push_back(std::make_unique<amplifier::BandEvaluator>(
-            device_, config_, sub_band_grid(carrier)));
-      }
+    if (slot.evaluator == nullptr) {
+      slot.evaluator = std::make_unique<amplifier::BandEvaluator>(
+          device_, config_, grid_, ranges_);
+      slot.reports.resize(ranges_.size());
     }
 
     Figures& f = slot.figures;
-    f.sub_bands.assign(grid_of_band_.size(), amplifier::BandReport{});
+    f.sub_bands.resize(report_of_band_.size());
     try {
-      const amplifier::DesignVector d = amplifier::DesignVector::from_vector(x);
-      f.full = slot.full->evaluate(d);
-      std::vector<amplifier::BandReport> per_grid(carriers_.size());
-      for (std::size_t g = 0; g < carriers_.size(); ++g) {
-        per_grid[g] = slot.sub[g]->evaluate(d);
-      }
+      slot.evaluator->evaluate(amplifier::DesignVector::from_vector(x),
+                               slot.reports);
+      f.full = slot.reports[0];
       f.nf_weighted_db = 0.0;
       f.gt_weighted_db = 0.0;
-      for (std::size_t k = 0; k < grid_of_band_.size(); ++k) {
-        f.sub_bands[k] = per_grid[grid_of_band_[k]];
+      for (std::size_t k = 0; k < report_of_band_.size(); ++k) {
+        f.sub_bands[k] = slot.reports[report_of_band_[k]];
         f.nf_weighted_db += weights_[k] * f.sub_bands[k].nf_avg_db;
         f.gt_weighted_db += weights_[k] * f.sub_bands[k].gt_min_db;
       }
@@ -84,14 +90,15 @@ class ScenarioObjective::Cache {
     bool valid = false;
     std::vector<double> x;
     Figures figures;
-    std::unique_ptr<amplifier::BandEvaluator> full;
-    std::vector<std::unique_ptr<amplifier::BandEvaluator>> sub;
+    std::unique_ptr<amplifier::BandEvaluator> evaluator;
+    std::vector<amplifier::BandReport> reports;  ///< one per lane range
   };
 
   device::Phemt device_;
   amplifier::AmplifierConfig config_;
-  std::vector<double> carriers_;        ///< distinct sub-band carriers
-  std::vector<std::size_t> grid_of_band_;  ///< sub-band -> carrier index
+  std::vector<double> grid_;  ///< union in-band grid (full band, carriers)
+  std::vector<amplifier::LaneRange> ranges_;  ///< report -> lanes of grid_
+  std::vector<std::size_t> report_of_band_;  ///< sub-band -> report index
   std::vector<double> weights_;
   mutable numeric::ThreadSlots<Slot> slots_;
 };
@@ -172,6 +179,7 @@ ScenarioDesignOutcome run_scenario_design(const device::Phemt& device,
   const optimize::GoalProblem problem = objective.goal_problem();
 
   ScenarioDesignOutcome out;
+  out.analysis = objective.analysis();
   out.optimization =
       optimize::improved_goal_attainment(problem, rng, options.optimizer);
   out.continuous = amplifier::DesignVector::from_vector(out.optimization.x);

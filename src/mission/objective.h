@@ -2,10 +2,9 @@
 //
 // mission::ScenarioObjective turns the paper's 2-objective band average
 // into scenario-weighted objectives: each active constellation
-// contributes a small sub-band grid around its carrier, evaluated with
-// the same fast amplifier::BandEvaluator machinery as the band-average
-// path, and the per-sub-band noise figure / transducer gain are combined
-// with the DOP/visibility weights of analyze_scenario():
+// contributes a small sub-band grid around its carrier, and the
+// per-sub-band noise figure / transducer gain are combined with the
+// DOP/visibility weights of analyze_scenario():
 //
 //   f1 =  sum_k w_k NF_avg(sub-band k)      [dB, minimized]
 //   f2 = -sum_k w_k GT_min(sub-band k)      [so "gain >= G" is f2 <= -G]
@@ -14,7 +13,14 @@
 // band, so a scenario-optimal design is a legal design of the original
 // problem — the scenario only moves where the noise/gain budget is
 // spent.  The NF goal is the scenario's physically derived one (from
-// T_ant and the SNR-degradation budget).  Evaluation uses the same
+// T_ant and the SNR-degradation budget).
+//
+// One design point is one amplifier::BandEvaluator pass over a single
+// union grid: the full band, then the 3-point grid of each distinct
+// carrier (GPS and Galileo share L1/E1), then the stability grid.  The
+// full-band report reduces the first lane range, each sub-band report its
+// carrier's range, and all of them share the stability lanes, so the
+// whole scenario costs one factorization.  Evaluation uses the same
 // per-thread memo idiom as amplifier/objectives.cpp, so results are
 // bit-identical for any optimizer thread count.
 #pragma once
@@ -88,6 +94,7 @@ struct ScenarioDesignOptions {
 };
 
 struct ScenarioDesignOutcome {
+  ScenarioAnalysis analysis;  ///< the objective's one analyze_scenario()
   optimize::GoalResult optimization;
   amplifier::DesignVector continuous;
   ScenarioObjective::Figures continuous_figures;

@@ -237,8 +237,11 @@ void Session::handle_submit(const Json& doc) {
         // path clear the entry so it never re-registers a finished job.
         finished_early_.insert(id);
       }
+      // Notify under the lock: once it is released drain() may return and
+      // the session (this condition variable included) may be destroyed,
+      // so nothing here may touch `this` after the unlock.
+      drained_cv_.notify_all();
     }
-    drained_cv_.notify_all();
   };
 
   const Scheduler::TicketPtr ticket =
@@ -252,17 +255,15 @@ void Session::handle_submit(const Json& doc) {
     } else {
       inflight_[id] = ticket;
     }
+    drained_cv_.notify_all();
   }
   if (ticket == nullptr) {
-    drained_cv_.notify_all();
     JobOutcome outcome;
     outcome.status = "rejected";
     outcome.error_code = "queue_full";
     outcome.error_message =
         "scheduler queue is full (global or per-client bound); retry";
     send_result(id, outcome);
-  } else {
-    drained_cv_.notify_all();
   }
 }
 

@@ -15,6 +15,7 @@
 
 #include <numbers>
 #include <random>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -244,8 +245,8 @@ TEST(BatchedPlan, TransferSubRangeMatchesFullRange) {
 
 /// The oracle band report: per-call s_params / noise_analysis over a fresh
 /// netlist of the design (one assembly and factorization per analysis),
-/// reduced in grid order exactly as amplifier::reduce_band_report
-/// documents — in-band figures first, then mu over the stability grid.
+/// reduced exactly as amplifier::reduce_band_report documents — in-band
+/// figures in grid order, mu_min over the stability grid.
 amplifier::BandReport oracle_report(const amplifier::LnaDesign& lna,
                                     const std::vector<double>& band) {
   const Netlist nl = lna.build_netlist();
@@ -337,6 +338,42 @@ TEST(BatchedPlan, IdealPassiveStepRewritesOneTable) {
   expect_report_eq(warm,
                    oracle_report(amplifier::LnaDesign(dev, config, d),
                                  amplifier::LnaDesign::default_band()));
+}
+
+TEST(BatchedPlan, LaneRangeReportsMatchTheOracleOverEachRange) {
+  // One evaluator over a concatenated in-band grid reduces one report per
+  // lane range; each equals the oracle over just that range's points
+  // (the stability lanes are shared by every report).
+  const device::Phemt dev = device::Phemt::reference_device();
+  const amplifier::AmplifierConfig config;
+  const std::vector<double> band = amplifier::LnaDesign::default_band();
+  const std::vector<double> sub = {1.20e9, 1.21e9, 1.22e9};
+  std::vector<double> grid = band;
+  grid.insert(grid.end(), sub.begin(), sub.end());
+  const std::vector<amplifier::LaneRange> ranges = {{0, 7}, {7, 10}, {2, 5}};
+  amplifier::BandEvaluator evaluator(dev, config, grid, ranges);
+  amplifier::DesignVector d;
+  for (int step = 0; step < 3; ++step) {
+    SCOPED_TRACE("design step " + std::to_string(step));
+    const amplifier::LnaDesign lna(dev, config, d);
+    std::vector<amplifier::BandReport> reports(ranges.size());
+    evaluator.evaluate(d, reports);
+    for (std::size_t k = 0; k < ranges.size(); ++k) {
+      expect_report_eq(
+          oracle_report(lna, {grid.begin() + ranges[k].begin,
+                              grid.begin() + ranges[k].end}),
+          reports[k]);
+    }
+    d.vgs -= 0.02;
+    d.l_out_m += 1e-3;
+  }
+  // A multi-range evaluator has no single report.
+  EXPECT_THROW((void)evaluator.evaluate(d), std::invalid_argument);
+  // Ranges must be non-empty and inside the band.
+  EXPECT_THROW(amplifier::BandEvaluator(dev, config, band, {{3, 3}}),
+               std::invalid_argument);
+  EXPECT_THROW(amplifier::BandEvaluator(dev, config, band, {{5, 8}}),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,13 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <numbers>
 #include <stdexcept>
+#include <string>
 
 #include "mission/constellation.h"
 #include "mission/objective.h"
 #include "mission/scenario.h"
 #include "mission/sky.h"
+#include "numeric/rng.h"
+#include "obs/obs.h"
 #include "optimize/goal_attainment.h"
 
 namespace gnsslna {
@@ -365,6 +369,131 @@ TEST(ScenarioObjective, ObjectivesAndConstraintsAreFinite) {
     EXPECT_TRUE(std::isfinite(c(x)));
   }
   EXPECT_EQ(mission::ScenarioObjective::objective_names().size(), 2u);
+}
+
+/// The per-grid composition the union-grid objective replaced: one
+/// BandEvaluator over the full band and one per sub-band, each with its own
+/// stability lanes, weighted in sub-band order.  The oracle the union plan's
+/// lane-range reductions are pinned against.
+class PerGridReference {
+ public:
+  PerGridReference(const device::Phemt& device,
+                   const amplifier::AmplifierConfig& config,
+                   const mission::ScenarioAnalysis& analysis)
+      : analysis_(analysis),
+        full_(device, config, amplifier::LnaDesign::default_band()) {
+    for (const mission::SubBand& band : analysis.sub_bands) {
+      sub_.push_back(std::make_unique<amplifier::BandEvaluator>(
+          device, config, mission::sub_band_grid(band.carrier_hz)));
+    }
+  }
+
+  mission::ScenarioObjective::Figures at(const amplifier::DesignVector& d) {
+    mission::ScenarioObjective::Figures f;
+    f.sub_bands.resize(sub_.size());
+    try {
+      f.full = full_.evaluate(d);
+      for (std::size_t k = 0; k < sub_.size(); ++k) {
+        f.sub_bands[k] = sub_[k]->evaluate(d);
+        f.nf_weighted_db +=
+            analysis_.sub_bands[k].weight * f.sub_bands[k].nf_avg_db;
+        f.gt_weighted_db +=
+            analysis_.sub_bands[k].weight * f.sub_bands[k].gt_min_db;
+      }
+    } catch (const std::exception&) {
+      const amplifier::BandReport bad = amplifier::infeasible_report();
+      f.full = bad;
+      for (amplifier::BandReport& rep : f.sub_bands) rep = bad;
+      f.nf_weighted_db = bad.nf_avg_db;
+      f.gt_weighted_db = bad.gt_min_db;
+    }
+    return f;
+  }
+
+ private:
+  mission::ScenarioAnalysis analysis_;
+  amplifier::BandEvaluator full_;
+  std::vector<std::unique_ptr<amplifier::BandEvaluator>> sub_;
+};
+
+void expect_report_eq(const amplifier::BandReport& want,
+                      const amplifier::BandReport& got,
+                      const std::string& what) {
+  EXPECT_EQ(want.nf_avg_db, got.nf_avg_db) << what;
+  EXPECT_EQ(want.nf_max_db, got.nf_max_db) << what;
+  EXPECT_EQ(want.gt_min_db, got.gt_min_db) << what;
+  EXPECT_EQ(want.gt_avg_db, got.gt_avg_db) << what;
+  EXPECT_EQ(want.s11_worst_db, got.s11_worst_db) << what;
+  EXPECT_EQ(want.s22_worst_db, got.s22_worst_db) << what;
+  EXPECT_EQ(want.mu_min, got.mu_min) << what;
+  EXPECT_EQ(want.id_a, got.id_a) << what;
+}
+
+TEST(ScenarioObjective, UnionPlanMatchesPerGridEvaluatorsOnARandomWalk) {
+  const device::Phemt device = device::Phemt::reference_device();
+  const amplifier::AmplifierConfig config;
+  const optimize::Bounds box = amplifier::DesignVector::bounds();
+  for (const mission::Scenario& scenario : mission::scenario_catalog()) {
+    SCOPED_TRACE(scenario.name);
+    const mission::ScenarioObjective objective(device, config, scenario);
+    PerGridReference reference(device, config, objective.analysis());
+
+    // Seeded walk: fresh box samples, single-field steps (the warm
+    // evaluator's partial retabulation), an unreachable bias point and a
+    // repeat of the previous point (the memo hit).
+    numeric::Rng rng(20260417);
+    amplifier::DesignVector d;
+    for (int step = 0; step < 10; ++step) {
+      switch (step) {
+        case 0: break;  // the default design
+        case 4: break;  // same x again: the objective's memo answers
+        case 5: d.vds = 2.0 * config.vdd; break;  // design_bias throws
+        default:
+          if (step % 2 == 0) {
+            d = amplifier::DesignVector::from_vector(box.sample(rng));
+          } else {
+            d.l_out_m = rng.uniform(box.lower[6], box.upper[6]);
+          }
+      }
+      const std::string what = "step " + std::to_string(step);
+      const mission::ScenarioObjective::Figures want = reference.at(d);
+      const mission::ScenarioObjective::Figures got = objective.figures(d);
+      EXPECT_EQ(want.nf_weighted_db, got.nf_weighted_db) << what;
+      EXPECT_EQ(want.gt_weighted_db, got.gt_weighted_db) << what;
+      expect_report_eq(want.full, got.full, what + " full");
+      ASSERT_EQ(want.sub_bands.size(), got.sub_bands.size()) << what;
+      for (std::size_t k = 0; k < want.sub_bands.size(); ++k) {
+        expect_report_eq(want.sub_bands[k], got.sub_bands[k],
+                         what + " sub-band " + std::to_string(k));
+      }
+      if (step == 5) {
+        EXPECT_EQ(got.full.nf_avg_db,
+                  amplifier::infeasible_report().nf_avg_db);
+      }
+    }
+  }
+}
+
+TEST(ScenarioObjective, FreshEvaluationIsOneBandEvaluation) {
+  if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const auto count = [](const char* name) {
+    for (const obs::CounterValue& c : obs::counter_snapshot()) {
+      if (c.name == name) return c.value;
+    }
+    return std::uint64_t{0};
+  };
+  const mission::ScenarioObjective objective(
+      device::Phemt::reference_device(), amplifier::AmplifierConfig{},
+      *mission::find_scenario("urban_canyon"));
+  amplifier::DesignVector d;
+  (void)objective.figures(d);  // cold build
+  d.vgs += 1e-3;
+  const std::uint64_t before = count("amplifier.band_evaluations");
+  (void)objective.figures(d);
+  EXPECT_EQ(count("amplifier.band_evaluations") - before, 1u);
+  obs::set_enabled(was_enabled);
 }
 
 mission::ScenarioDesignOptions tiny_scenario_options(std::size_t threads) {

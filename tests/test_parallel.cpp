@@ -490,17 +490,22 @@ TEST(ParallelObs, EvaluationCounterTotalsAreBitIdenticalAcrossThreadCounts) {
   obs::set_enabled(true);
 
   const device::Phemt dev = device::Phemt::reference_device();
-  const optimize::GoalProblem problem = amplifier::make_nf_gain_problem(
-      dev, amplifier::AmplifierConfig{}, amplifier::DesignGoals{});
   numeric::Rng rng(2024);
   std::vector<std::vector<double>> points;
-  for (int i = 0; i < 8; ++i) points.push_back(problem.bounds.sample(rng));
+  for (int i = 0; i < 8; ++i) {
+    points.push_back(amplifier::DesignVector::bounds().sample(rng));
+  }
 
   const auto is_rebind_counter = [](const std::string& name) {
     return name == "circuit.batch.workspace_reuses" ||
            name == "circuit.batch.arena_bytes_hwm";
   };
   const auto run = [&](std::size_t threads) {
+    // A fresh problem per run: a reused one keeps each thread's last design
+    // point in its memo slot, and whether a thread of the next run starts
+    // on that point (a memo hit instead of an evaluation) is scheduling.
+    const optimize::GoalProblem problem = amplifier::make_nf_gain_problem(
+        dev, amplifier::AmplifierConfig{}, amplifier::DesignGoals{});
     obs::reset();
     numeric::parallel_for(threads, points.size(), [&](std::size_t i) {
       (void)problem.objectives(points[i]);

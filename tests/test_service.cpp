@@ -19,6 +19,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstring>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -930,6 +931,36 @@ TEST(ServiceFuzz, MutatedFramesNeverBreakReaderOrSession) {
       ASSERT_TRUE(doc.is_object());
       EXPECT_FALSE(doc.string_at("event").empty());
     }
+  }
+  scheduler.shutdown();
+}
+
+/// Session teardown right after drain(): the completion callback runs on a
+/// scheduler worker, so it must be done with the session (its condition
+/// variable included) before drain() can return.  Destroying the session
+/// immediately after drain, many times over, is what exposed a
+/// notify-after-unlock race; CI repeats this test under TSan.
+TEST(ServiceSession, DestroyRightAfterDrainIsRaceFree) {
+  service::SchedulerOptions options;
+  options.workers = 2;
+  service::Scheduler scheduler(options);
+  const std::string submit = service::encode_frame(
+      R"({"op":"submit","id":1,"type":"evaluate","params":{}})");
+  for (int round = 0; round < 200; ++round) {
+    std::vector<std::string> replies;
+    auto session = std::make_unique<service::Session>(
+        scheduler, "teardown",
+        [&](const std::string& frame) { replies.push_back(frame); });
+    ASSERT_TRUE(session->on_bytes(submit));
+    session->drain();
+    session.reset();
+    ASSERT_EQ(replies.size(), 1u) << "round " << round;
+    service::FrameReader reader;
+    reader.feed(replies[0]);
+    std::string payload;
+    ASSERT_TRUE(reader.next(&payload));
+    EXPECT_EQ(parse_or_die(payload).string_at("status"), "ok")
+        << "round " << round;
   }
   scheduler.shutdown();
 }
