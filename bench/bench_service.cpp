@@ -8,14 +8,16 @@
 //      full admission, jobs per second across --threads workers.
 //   2. Single-job round trip: one evaluate job submitted and awaited in a
 //      closed loop — queueing + dispatch + plan-cache lease + evaluation.
-//   3. Server-side p99: the log2-microsecond obs latency histogram the
-//      stats op exports, after the mixed run.
+//   3. Server-side p99: the interpolated midpoint of the fixed-bucket
+//      service.job_latency_us obs histogram the stats op exports, after
+//      the mixed run.
 //
 //   --json <path>   write bench_util schema-v2 records:
 //                     BM_ServiceMixedJob      ns per job, mixed traffic
 //                     BM_ServiceEvaluateJob   ns per closed-loop evaluate
-//                     BM_ServiceLatencyP99    p99 in ns (from the obs
-//                                             histogram upper bound)
+//                     BM_ServiceLatencyP99    p99 in ns (midpoint
+//                                             interpolation in the obs
+//                                             job-latency histogram)
 //   --count <n>     mixed jobs (default 512)
 //   --threads <n>   scheduler workers (default 0 = all hardware threads)
 //   --perf-smoke [baseline.json]
@@ -295,11 +297,12 @@ int main(int argc, char** argv) {
     scheduler.shutdown();
   }
 
-  // 3. Server-side percentile export (conservative log2-bucket bounds).
+  // 3. Server-side percentiles: midpoint-interpolated from the
+  //    service.job_latency_us histogram, the same values the SLOs measure.
   const Json stats = service::service_stats_json();
   const double p50_us = stats.number_at("latency_p50_us", 0);
   const double p99_us = stats.number_at("latency_p99_us", 0);
-  std::printf("  obs histogram over %lld jobs: p50 <= %.0f us, p99 <= %.0f us\n",
+  std::printf("  obs histogram over %lld jobs: p50 %.0f us, p99 %.0f us\n",
               static_cast<long long>(stats.number_at("latency_jobs", 0)),
               p50_us, p99_us);
   json.add("BM_ServiceLatencyP99",

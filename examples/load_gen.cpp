@@ -3,8 +3,9 @@
 // Replays a deterministic mixed workload — band evaluations, S-parameter
 // sweeps, small design flows, yield runs, model extractions — against the
 // scheduler and reports client-side latency percentiles next to the
-// server-side p50/p99 derived from the obs latency histogram
-// (service_stats_json).  Three ways to reach the server:
+// server-side p50/p99 interpolated from the service.job_latency_us obs
+// histogram (service_stats_json) — the same values the SLO verdicts use.
+// Three ways to reach the server:
 //
 //   load_gen                          in-process scheduler (default)
 //   load_gen --spawn ./lna_service    fork/exec the server in --worker
@@ -137,7 +138,7 @@ void print_report(const char* mode, const RunStats& stats, double wall_s,
       percentile(&lat, 0.50) * 1e3, percentile(&lat, 0.99) * 1e3);
   std::printf(
       "  server     %lld submitted, %lld completed, %lld rejected\n"
-      "  server lat p50 <= %.0f us   p99 <= %.0f us   (obs histogram, "
+      "  server lat p50 %.0f us   p99 %.0f us   (obs histogram, "
       "%lld jobs)\n",
       static_cast<long long>(server_stats.number_at("submitted", 0)),
       static_cast<long long>(server_stats.number_at("completed", 0)),

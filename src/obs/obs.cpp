@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -10,14 +11,19 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "obs/metrics.h"
+
 namespace gnsslna::obs {
 
 namespace {
 
-// Fixed shard capacity: registration throws past these, which surfaces at
-// the new instrumentation site's first execution, never silently.
+// Fixed capacities: registration throws past these, which surfaces at the
+// new instrumentation site's first execution, never silently.
 constexpr std::size_t kMaxCounters = 192;
 constexpr std::size_t kMaxSpans = 64;
+constexpr std::size_t kMaxGauges = 64;
+constexpr std::size_t kMaxHistograms = 32;
+constexpr std::size_t kMaxBuckets = 64;
 
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
@@ -37,20 +43,40 @@ struct SpanEvent {
 struct Shard;
 struct EventBuffer;
 
-/// Leaked singleton: worker threads (and their thread-local shards) may
-/// outlive every other static, so the registry must never be destroyed.
+/// Dense ids of one instrument kind, in first-registration order.
+struct NameTable {
+  std::size_t capacity;
+  const char* kind;
+  std::vector<std::string> names;
+  std::unordered_map<std::string, std::uint32_t> ids;
+};
+
+struct HistogramSlot {
+  std::vector<double> upper_bounds;
+  // counts[i] covers (bounds[i-1], bounds[i]]; the last slot is +Inf.
+  std::atomic<std::uint64_t> counts[kMaxBuckets + 1] = {};
+  std::atomic<std::int64_t> sum{0};
+};
+
+/// The one registry of every instrument kind.  Leaked singleton: worker
+/// threads (and their thread-local shards) may outlive every other static,
+/// so it must never be destroyed.
 struct Registry {
   std::mutex mutex;
 
-  std::vector<std::string> counter_names;
-  std::unordered_map<std::string, std::uint32_t> counter_ids;
-  std::vector<std::string> span_names;
-  std::unordered_map<std::string, std::uint32_t> span_ids;
+  NameTable counters{kMaxCounters, "counter", {}, {}};
+  NameTable spans{kMaxSpans, "span", {}, {}};
+  NameTable gauges{kMaxGauges, "gauge", {}, {}};
+  NameTable histograms{kMaxHistograms, "histogram", {}, {}};
 
   std::vector<Shard*> shards;
   std::uint64_t retired_counters[kMaxCounters] = {};
   std::uint64_t retired_span_count[kMaxSpans] = {};
   std::uint64_t retired_span_ns[kMaxSpans] = {};
+
+  // Gauges and histograms are low-frequency, process-global atomics.
+  std::atomic<std::int64_t> gauge_values[kMaxGauges] = {};
+  HistogramSlot histogram_slots[kMaxHistograms];
 
   std::vector<EventBuffer*> event_buffers;
   std::vector<SpanEvent> retired_events;
@@ -144,22 +170,63 @@ std::atomic<bool> g_capture{false};
 
 thread_local JobTrace* t_job_trace = nullptr;
 
-std::uint32_t register_name(std::vector<std::string>& names,
-                            std::unordered_map<std::string, std::uint32_t>& ids,
-                            const char* name, std::size_t capacity,
-                            const char* kind) {
+/// The one name -> id registration for every instrument kind: idempotent
+/// (a name keeps its first id), throws past the kind's capacity.  `on_new`
+/// runs under the registry lock for a freshly assigned id.
+template <typename OnNew>
+std::uint32_t register_name(NameTable& table, const char* name,
+                            OnNew on_new) {
   Registry& r = Registry::get();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  const auto it = ids.find(name);
-  if (it != ids.end()) return it->second;
-  if (names.size() >= capacity) {
-    throw std::length_error(std::string("obs: too many ") + kind +
+  const std::lock_guard<std::mutex> lock(r.mutex);
+  const auto it = table.ids.find(name);
+  if (it != table.ids.end()) return it->second;
+  if (table.names.size() >= table.capacity) {
+    throw std::length_error(std::string("obs: too many ") + table.kind +
                             " registrations (raise kMax in obs.cpp)");
   }
-  const std::uint32_t id = static_cast<std::uint32_t>(names.size());
-  names.emplace_back(name);
-  ids.emplace(name, id);
+  const std::uint32_t id = static_cast<std::uint32_t>(table.names.size());
+  table.names.emplace_back(name);
+  table.ids.emplace(name, id);
+  on_new(id);
   return id;
+}
+
+std::uint32_t register_name(NameTable& table, const char* name) {
+  return register_name(table, name, [](std::uint32_t) {});
+}
+
+/// Shard-merged counter totals in id order; caller holds the lock.
+std::vector<CounterValue> counters_locked(const Registry& r) {
+  std::vector<CounterValue> out(r.counters.names.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i].name = r.counters.names[i];
+    out[i].value = r.retired_counters[i];
+  }
+  for (const Shard* s : r.shards) {
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i].value += s->counters[i].load(std::memory_order_relaxed);
+    }
+  }
+  return out;
+}
+
+/// Zeroes every gauge and histogram; caller holds the lock.
+void zero_gauges_and_histograms(Registry& r) {
+  for (std::atomic<std::int64_t>& g : r.gauge_values) {
+    g.store(0, std::memory_order_relaxed);
+  }
+  for (HistogramSlot& h : r.histogram_slots) {
+    for (std::atomic<std::uint64_t>& c : h.counts) {
+      c.store(0, std::memory_order_relaxed);
+    }
+    h.sum.store(0, std::memory_order_relaxed);
+  }
+}
+
+template <typename T>
+void sort_by_name(std::vector<T>* v) {
+  std::sort(v->begin(), v->end(),
+            [](const T& a, const T& b) { return a.name < b.name; });
 }
 
 }  // namespace
@@ -177,9 +244,7 @@ void set_deterministic(bool on) {
 }
 
 Counter::Counter(const char* name)
-    : id_(register_name(Registry::get().counter_names,
-                        Registry::get().counter_ids, name, kMaxCounters,
-                        "counter")) {}
+    : id_(register_name(Registry::get().counters, name)) {}
 
 void Counter::add(std::uint64_t n) const {
   if (!enabled()) return;
@@ -188,8 +253,7 @@ void Counter::add(std::uint64_t n) const {
 }
 
 SpanCategory::SpanCategory(const char* name)
-    : id_(register_name(Registry::get().span_names, Registry::get().span_ids,
-                        name, kMaxSpans, "span")) {}
+    : id_(register_name(Registry::get().spans, name)) {}
 
 Span::Span(const SpanCategory& category) {
   if (!enabled()) return;
@@ -241,26 +305,16 @@ void job_trace_event(const SpanCategory& category, std::uint64_t dur_ns) {
 
 std::vector<CounterValue> counter_snapshot() {
   Registry& r = Registry::get();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  std::vector<CounterValue> out(r.counter_names.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i].name = r.counter_names[i];
-    out[i].value = r.retired_counters[i];
-  }
-  for (const Shard* s : r.shards) {
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      out[i].value += s->counters[i].load(std::memory_order_relaxed);
-    }
-  }
-  return out;
+  const std::lock_guard<std::mutex> lock(r.mutex);
+  return counters_locked(r);
 }
 
 std::vector<SpanStat> span_snapshot() {
   Registry& r = Registry::get();
   std::lock_guard<std::mutex> lock(r.mutex);
-  std::vector<SpanStat> out(r.span_names.size());
+  std::vector<SpanStat> out(r.spans.names.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i].name = r.span_names[i];
+    out[i].name = r.spans.names[i];
     out[i].count = r.retired_span_count[i];
     out[i].total_ns = r.retired_span_ns[i];
   }
@@ -276,13 +330,13 @@ std::vector<SpanStat> span_snapshot() {
 std::vector<std::string> counter_names() {
   Registry& r = Registry::get();
   std::lock_guard<std::mutex> lock(r.mutex);
-  return r.counter_names;
+  return r.counters.names;
 }
 
 std::vector<std::string> span_names() {
   Registry& r = Registry::get();
   std::lock_guard<std::mutex> lock(r.mutex);
-  return r.span_names;
+  return r.spans.names;
 }
 
 std::size_t counter_capacity() { return kMaxCounters; }
@@ -331,6 +385,81 @@ void reset() {
       s->span_ns[i].store(0, std::memory_order_relaxed);
     }
   }
+  zero_gauges_and_histograms(r);
+}
+
+void metrics_reset() {
+  Registry& r = Registry::get();
+  const std::lock_guard<std::mutex> lock(r.mutex);
+  zero_gauges_and_histograms(r);
+}
+
+Gauge::Gauge(const char* name)
+    : id_(register_name(Registry::get().gauges, name)) {}
+
+void Gauge::set(std::int64_t v) const {
+  if (!enabled()) return;
+  Registry::get().gauge_values[id_].store(v, std::memory_order_relaxed);
+}
+
+void Gauge::add(std::int64_t d) const {
+  if (!enabled()) return;
+  Registry::get().gauge_values[id_].fetch_add(d, std::memory_order_relaxed);
+}
+
+Histogram::Histogram(const char* name, std::vector<double> upper_bounds) {
+  if (upper_bounds.empty() || upper_bounds.size() > kMaxBuckets ||
+      !std::is_sorted(upper_bounds.begin(), upper_bounds.end())) {
+    throw std::invalid_argument(
+        "obs: histogram bounds must be ascending, 1..kMaxBuckets long");
+  }
+  Registry& r = Registry::get();
+  id_ = register_name(r.histograms, name, [&](std::uint32_t id) {
+    r.histogram_slots[id].upper_bounds = std::move(upper_bounds);
+  });
+}
+
+void Histogram::observe(double value) const {
+  if (!enabled()) return;
+  HistogramSlot& slot = Registry::get().histogram_slots[id_];
+  // Prometheus bucket semantics: counts[i] is the first bound >= value.
+  const auto it = std::lower_bound(slot.upper_bounds.begin(),
+                                   slot.upper_bounds.end(), value);
+  const std::size_t b =
+      static_cast<std::size_t>(it - slot.upper_bounds.begin());
+  slot.counts[b].fetch_add(1, std::memory_order_relaxed);
+  slot.sum.fetch_add(std::llround(value), std::memory_order_relaxed);
+}
+
+MetricsSnapshot metrics_snapshot() {
+  MetricsSnapshot out;
+  {
+    Registry& r = Registry::get();
+    const std::lock_guard<std::mutex> lock(r.mutex);
+    out.counters = counters_locked(r);
+    for (std::size_t i = 0; i < r.gauges.names.size(); ++i) {
+      out.gauges.push_back(
+          {r.gauges.names[i],
+           r.gauge_values[i].load(std::memory_order_relaxed)});
+    }
+    for (std::size_t i = 0; i < r.histograms.names.size(); ++i) {
+      const HistogramSlot& slot = r.histogram_slots[i];
+      HistogramValue h;
+      h.name = r.histograms.names[i];
+      h.upper_bounds = slot.upper_bounds;
+      h.counts.resize(slot.upper_bounds.size() + 1);
+      for (std::size_t b = 0; b < h.counts.size(); ++b) {
+        h.counts[b] = slot.counts[b].load(std::memory_order_relaxed);
+        h.total += h.counts[b];
+      }
+      h.sum = slot.sum.load(std::memory_order_relaxed);
+      out.histograms.push_back(std::move(h));
+    }
+  }
+  sort_by_name(&out.counters);
+  sort_by_name(&out.gauges);
+  sort_by_name(&out.histograms);
+  return out;
 }
 
 void start_span_capture() {
@@ -362,7 +491,7 @@ bool write_span_trace(const std::string& path, bool deterministic) {
     for (const EventBuffer* b : r.event_buffers) {
       events.insert(events.end(), b->events.begin(), b->events.end());
     }
-    names = r.span_names;
+    names = r.spans.names;
   }
   if (deterministic) {
     // Strip wall-clock and thread placement; order by (name id, owning job)

@@ -2,9 +2,11 @@
 // near-zero-overhead semantics.
 //
 // Design rules (see DESIGN.md "Observability"):
-//   * Counter-based IDs — counters and span categories get dense ids in
-//     first-registration order; snapshots are keyed by NAME, so merged
-//     totals never depend on which thread happened to register first.
+//   * One registry — counters, span categories, gauges and histograms
+//     (obs/metrics.h) share one leaked registry, one mutex and one
+//     name -> id registration: dense ids in first-registration order;
+//     snapshots are keyed by NAME, so merged totals never depend on which
+//     thread happened to register first.
 //   * Thread-local shards — every thread owns a private slot array.
 //     Increments are single-writer relaxed atomics (no lock prefix, no
 //     contention, TSan-clean); snapshots sum the live shards plus the
@@ -133,8 +135,9 @@ void read_local_counters(std::uint64_t* out, std::size_t n);
 std::vector<CounterValue> counter_delta(const std::vector<CounterValue>& a,
                                         const std::vector<CounterValue>& b);
 
-/// Zeroes every live shard and the retired totals.  Must not run
-/// concurrently with instrumented work (tests and tools only).
+/// Zeroes the whole registry: every live shard, the retired totals, and
+/// every gauge and histogram (obs/metrics.h).  Registrations persist.
+/// Must not run concurrently with instrumented work (tests and tools only).
 void reset();
 
 // --- Per-job trace context -------------------------------------------------

@@ -25,14 +25,14 @@
 // outcome is bit-identical for any worker count and any traffic mix.
 //
 // Obs: counters service.{submitted,rejected,completed,errors,cancelled,
-// timeouts} and the log2-microsecond latency histogram
-// service.latency.b00..b31 (service_stats_json derives p50/p99 from it by
-// midpoint interpolation); gauges service.{queue_depth,jobs_in_flight};
-// fixed-bucket histograms service.{job_latency_us,queue_wait_us} (SLO
-// source); flight-recorder events at admission/start/terminal transitions
-// (obs/flight.h); and a per-job trace context (obs::JobTrace) installed
-// around the job body so every span the job opens — plan-cache leases,
-// optimizer generations, BatchedPlan solves — is attributed to its job id.
+// timeouts}; gauges service.{queue_depth,jobs_in_flight}; fixed-bucket
+// histograms service.{job_latency_us,queue_wait_us} (job_latency_us is the
+// one latency source: service_stats_json's p50/p99 and the SLOs both read
+// it by midpoint interpolation); flight-recorder events at admission/
+// start/terminal transitions (obs/flight.h); and a per-job trace context
+// (obs::JobTrace) installed around the job body so every span the job
+// opens — plan-cache leases, optimizer generations, BatchedPlan solves —
+// is attributed to its job id.
 // In obs::deterministic() mode all wall-clock observations record as zero,
 // making every exported artifact byte-identical across worker counts.
 #pragma once
@@ -168,10 +168,11 @@ class Scheduler {
   std::thread engine_;
 };
 
-/// Service throughput / latency report from the CURRENT obs counter
-/// snapshot: job counts, p50/p99 latency (interpolated midpoints of the
-/// log2-µs histogram — telemetry.h latency_percentile_us), and the "slo"
-/// array (telemetry.h evaluate_slos_json over default_slos()).  All zero /
+/// Service throughput / latency report from ONE obs::metrics_snapshot():
+/// job counts, latency_jobs and p50/p99 latency (obs::histogram_quantile
+/// of service.job_latency_us), and the "slo" array (telemetry.h
+/// evaluate_slos_json over default_slos() and the same snapshot), so the
+/// percentiles equal the latency objectives' measured values.  All zero /
 /// vacuously attained when obs is disabled or compiled out — enable with
 /// GNSSLNA_OBS=1.
 Json service_stats_json();

@@ -1,7 +1,6 @@
 #include "service/telemetry.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <utility>
 
@@ -15,33 +14,31 @@ Json u64(std::uint64_t v) { return Json::number(static_cast<double>(v)); }
 
 Json metrics_to_json(const obs::MetricsSnapshot& snapshot,
                      bool deterministic) {
+  if (deterministic) {
+    return metrics_to_json(obs::zero_observational(snapshot), false);
+  }
   Json counters = Json::object();
   for (const obs::CounterValue& c : snapshot.counters) {
-    const bool zero = deterministic && obs::metric_is_observational(c.name);
-    counters.set(c.name, u64(zero ? 0 : c.value));
+    counters.set(c.name, u64(c.value));
   }
   Json gauges = Json::object();
   for (const obs::GaugeValue& g : snapshot.gauges) {
-    const bool zero = deterministic && obs::metric_is_observational(g.name);
-    gauges.set(g.name, Json::number(
-                           zero ? 0.0 : static_cast<double>(g.value)));
+    gauges.set(g.name, Json::number(static_cast<double>(g.value)));
   }
   Json histograms = Json::object();
   for (const obs::HistogramValue& h : snapshot.histograms) {
-    const bool zero = deterministic && obs::metric_is_observational(h.name);
     Json le = Json::array();
     Json counts = Json::array();
     for (std::size_t b = 0; b < h.upper_bounds.size(); ++b) {
       le.push(Json::number(h.upper_bounds[b]));
-      counts.push(u64(zero ? 0 : h.counts[b]));
+      counts.push(u64(h.counts[b]));
     }
-    counts.push(u64(zero ? 0 : h.counts[h.upper_bounds.size()]));
+    counts.push(u64(h.counts[h.upper_bounds.size()]));
     Json entry = Json::object();
     entry.set("le", std::move(le));
     entry.set("counts", std::move(counts));
-    entry.set("sum",
-              Json::number(zero ? 0.0 : static_cast<double>(h.sum)));
-    entry.set("count", u64(zero ? 0 : h.total));
+    entry.set("sum", Json::number(static_cast<double>(h.sum)));
+    entry.set("count", u64(h.total));
     histograms.set(h.name, std::move(entry));
   }
   Json out = Json::object();
@@ -170,26 +167,6 @@ Json span_tree_json(const obs::JobTrace& trace, bool deterministic) {
   return std::move(docs[0]);
 }
 
-double latency_percentile_us(const std::uint64_t buckets[32], double q) {
-  std::uint64_t total = 0;
-  for (int b = 0; b < 32; ++b) total += buckets[b];
-  if (total == 0) return 0.0;
-  q = std::min(std::max(q, 0.0), 1.0);
-  const std::uint64_t k =
-      static_cast<std::uint64_t>(q * static_cast<double>(total)) + 1;
-  std::uint64_t cum = 0;
-  for (int b = 0; b < 32; ++b) {
-    if (buckets[b] == 0) continue;
-    cum += buckets[b];
-    if (cum < k) continue;
-    const double lo = b == 0 ? 0.0 : static_cast<double>(1ULL << b);
-    const double hi = static_cast<double>(1ULL << (b + 1));
-    const double j = static_cast<double>(k - (cum - buckets[b]));
-    return lo + (hi - lo) * (j - 0.5) / static_cast<double>(buckets[b]);
-  }
-  return static_cast<double>(1ULL << 32);
-}
-
 const std::vector<SloSpec>& default_slos() {
   // Generous bounds: a healthy server on any host attains them; a wedged
   // plan cache, a runaway job mix, or admission collapse misses them.
@@ -202,22 +179,16 @@ const std::vector<SloSpec>& default_slos() {
   return kSlos;
 }
 
-Json evaluate_slos_json(const std::vector<SloSpec>& slos) {
-  const obs::MetricsSnapshot snapshot = obs::metrics_snapshot();
-  const obs::HistogramValue* latency = nullptr;
-  for (const obs::HistogramValue& h : snapshot.histograms) {
-    if (h.name == "service.job_latency_us") {
-      latency = &h;
-      break;
-    }
-  }
-  const auto counter = [&](const char* name) -> std::uint64_t {
-    for (const obs::CounterValue& c : snapshot.counters) {
-      if (c.name == name) return c.value;
-    }
-    return 0;
+Json evaluate_slos_json(const std::vector<SloSpec>& slos,
+                        const obs::MetricsSnapshot& snapshot) {
+  const obs::HistogramValue* latency =
+      snapshot.histogram("service.job_latency_us");
+  const std::uint64_t submitted = snapshot.counter("service.submitted");
+  const auto rate = [&](const char* name) {
+    return submitted == 0 ? 0.0
+                          : static_cast<double>(snapshot.counter(name)) /
+                                static_cast<double>(submitted);
   };
-  const std::uint64_t submitted = counter("service.submitted");
 
   Json out = Json::array();
   for (const SloSpec& slo : slos) {
@@ -235,18 +206,12 @@ Json evaluate_slos_json(const std::vector<SloSpec>& slos) {
       case SloSpec::Kind::kRejectionRate:
         kind = "rejection_rate";
         samples = submitted;
-        measured = submitted == 0
-                       ? 0.0
-                       : static_cast<double>(counter("service.rejected")) /
-                             static_cast<double>(submitted);
+        measured = rate("service.rejected");
         break;
       case SloSpec::Kind::kErrorRate:
         kind = "error_rate";
         samples = submitted;
-        measured = submitted == 0
-                       ? 0.0
-                       : static_cast<double>(counter("service.errors")) /
-                             static_cast<double>(submitted);
+        measured = rate("service.errors");
         break;
     }
     Json doc = Json::object();

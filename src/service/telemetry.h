@@ -6,9 +6,9 @@
 // service::Json, so the generic snapshots (obs/metrics.h, obs/flight.h,
 // obs::JobTrace) are converted here.  Every export has a deterministic
 // mode — name-keyed, sorted, wall-clock zeroed, observational metrics
-// zeroed/filtered (obs::metric_is_observational) — under which the bytes
-// are identical across worker counts for identical completed traffic
-// (pinned in tests/test_service.cpp).
+// zeroed (obs::zero_observational) or, for flight deltas, filtered — under
+// which the bytes are identical across worker counts for identical
+// completed traffic (pinned in tests/test_service.cpp).
 #pragma once
 
 #include <cstdint>
@@ -54,14 +54,6 @@ Json flight_json_for_job(std::uint64_t job_id);
 /// deterministic job body; total_us zeroed when deterministic.
 Json span_tree_json(const obs::JobTrace& trace, bool deterministic);
 
-/// Interpolated quantile of the service.latency.bXX log2-µs histogram
-/// (bucket b covers [2^b, 2^(b+1)), b = 0 covers [0, 2)).  Midpoint rule:
-/// the rank-k sample (k = floor(q·total) + 1) sits at (j - 0.5)/n of its
-/// bucket's width, j its 1-based index within the bucket.  Replaces the
-/// old upper-bound estimate, which systematically over-reported by up to
-/// 2x (pinned in tests/test_service.cpp ServiceStats).
-double latency_percentile_us(const std::uint64_t buckets[32], double q);
-
 /// One declarative service-level objective.
 struct SloSpec {
   enum class Kind {
@@ -78,10 +70,12 @@ struct SloSpec {
 /// The served objectives: p50/p99 job latency, rejection rate, error rate.
 const std::vector<SloSpec>& default_slos();
 
-/// [{"name","kind","quantile","limit","measured","samples","attained"}].
-/// An objective with no samples yet is vacuously attained; with obs off
-/// every objective is vacuous (empty histograms/counters), documented
-/// behaviour for GNSSLNA_OBS=OFF builds.
-Json evaluate_slos_json(const std::vector<SloSpec>& slos);
+/// [{"name","kind","quantile","limit","measured","samples","attained"}]
+/// over `snapshot` (latency objectives: obs::histogram_quantile of
+/// service.job_latency_us).  An objective with no samples yet is vacuously
+/// attained; with obs off every objective is vacuous (empty histograms/
+/// counters), documented behaviour for GNSSLNA_OBS=OFF builds.
+Json evaluate_slos_json(const std::vector<SloSpec>& slos,
+                        const obs::MetricsSnapshot& snapshot);
 
 }  // namespace gnsslna::service

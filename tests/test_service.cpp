@@ -1000,28 +1000,6 @@ TEST(ServiceStats, CountersFeedTheStatsReport) {
 
 // --- telemetry: percentiles, SLOs, deterministic artifacts ------------------
 
-TEST(ServiceTelemetry, LatencyPercentileMidpointPins) {
-  // Empty histogram reports 0, not a bucket bound.
-  std::uint64_t empty[32] = {};
-  EXPECT_EQ(service::latency_percentile_us(empty, 0.5), 0.0);
-
-  // All 10 samples in bucket 5 = [32, 64).  Midpoint rule: rank k sits at
-  // (j - 0.5)/n of the bucket width, so p50 (k = 6) = 32 + 32*5.5/10 and
-  // p99 (k = 10) = 32 + 32*9.5/10 — never the old upper-bound 64.
-  std::uint64_t single[32] = {};
-  single[5] = 10;
-  EXPECT_DOUBLE_EQ(service::latency_percentile_us(single, 0.5), 49.6);
-  EXPECT_DOUBLE_EQ(service::latency_percentile_us(single, 0.99), 62.4);
-
-  // Split across buckets 0 = [0, 2) and 3 = [8, 16): p50 (k = 3) is the
-  // first of bucket 3's two samples, p99 (k = 4) the second.
-  std::uint64_t split[32] = {};
-  split[0] = 2;
-  split[3] = 2;
-  EXPECT_DOUBLE_EQ(service::latency_percentile_us(split, 0.5), 10.0);
-  EXPECT_DOUBLE_EQ(service::latency_percentile_us(split, 0.99), 14.0);
-}
-
 /// RAII save/restore of the obs runtime flags plus a full telemetry wipe on
 /// both ends, so observability tests cannot leak state into each other.
 struct ObsStateGuard {
@@ -1039,6 +1017,76 @@ struct ObsStateGuard {
     obs::flight_clear();
   }
 };
+
+/// The named entry of a stats report's "slo" array; nullptr when absent.
+const Json* slo_named(const Json& stats, const std::string& name) {
+  const Json* slo = stats.find("slo");
+  if (slo == nullptr) return nullptr;
+  for (std::size_t i = 0; i < slo->size(); ++i) {
+    if (slo->at(i).string_at("name") == name) return &slo->at(i);
+  }
+  return nullptr;
+}
+
+/// Runs `n` evaluate jobs to completion on a two-worker scheduler.
+void run_evaluate_jobs(int n) {
+  service::SchedulerOptions options;
+  options.workers = 2;
+  service::Scheduler scheduler(options);
+  std::vector<service::Scheduler::TicketPtr> tickets;
+  for (int i = 0; i < n; ++i) {
+    tickets.push_back(
+        scheduler.submit("latency-client", "evaluate", parse_or_die("{}")));
+  }
+  for (const auto& t : tickets) {
+    ASSERT_NE(t, nullptr);
+    EXPECT_EQ(t->wait().status, "ok");
+  }
+  scheduler.shutdown();
+}
+
+TEST(ServiceStats, PercentilesEqualTheLatencySloMeasurements) {
+  if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
+  ObsStateGuard guard;
+  obs::set_enabled(true);
+  run_evaluate_jobs(9);
+
+  // One report: its percentiles and its latency objectives read the same
+  // histogram, so they agree exactly.
+  const Json stats = service::service_stats_json();
+  const Json* p50 = slo_named(stats, "latency_p50");
+  const Json* p99 = slo_named(stats, "latency_p99");
+  ASSERT_NE(p50, nullptr) << stats.dump();
+  ASSERT_NE(p99, nullptr) << stats.dump();
+  EXPECT_EQ(stats.number_at("latency_jobs", -1), 9.0);
+  EXPECT_EQ(stats.number_at("latency_jobs", -1), p50->number_at("samples", -2));
+  EXPECT_EQ(stats.number_at("latency_jobs", -1), p99->number_at("samples", -2));
+  EXPECT_EQ(stats.number_at("latency_p50_us", -1),
+            p50->number_at("measured", -2));
+  EXPECT_EQ(stats.number_at("latency_p99_us", -1),
+            p99->number_at("measured", -2));
+}
+
+TEST(ServiceTelemetry, SlowJobsMissTheDefaultP99Objective) {
+  if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
+  ObsStateGuard guard;
+  obs::set_enabled(true);
+  // A real job registers service.job_latency_us with the scheduler's
+  // bounds; the registration below reuses them.
+  run_evaluate_jobs(1);
+  ObsStateGuard::wipe();
+
+  // 60 s per job: an admissible 2^20-sample yield run.  Its p99 is above
+  // the 10 s limit and must be reported as a miss, not clamped to a bound.
+  const obs::Histogram latency("service.job_latency_us", {1.0});
+  for (int i = 0; i < 100; ++i) latency.observe(60e6);
+  const Json stats = service::service_stats_json();
+  const Json* p99 = slo_named(stats, "latency_p99");
+  ASSERT_NE(p99, nullptr) << stats.dump();
+  EXPECT_EQ(p99->number_at("samples", 0), 100.0);
+  EXPECT_GT(p99->number_at("measured", 0), p99->number_at("limit", 0));
+  EXPECT_FALSE(p99->bool_at("attained", true)) << stats.dump();
+}
 
 TEST(ServiceObservability, DeterministicArtifactsBitIdenticalAcrossWorkers) {
   if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
