@@ -4,6 +4,7 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "obs/obs.h"
 #include "rf/units.h"
 
 namespace gnsslna::microstrip {
@@ -184,6 +185,7 @@ double synthesize_width(const Substrate& substrate, double z0_target,
   if (z0_target <= 0.0) {
     throw std::invalid_argument("synthesize_width: z0 must be positive");
   }
+  GNSSLNA_OBS_COUNT("microstrip.width_syntheses");
   // Z0 decreases monotonically with width: bisection over a generous range.
   double lo = substrate.height_m * 0.02;   // very narrow -> high Z0
   double hi = substrate.height_m * 40.0;   // very wide  -> low Z0

@@ -99,8 +99,10 @@ class Line {
 };
 
 /// Finds the width giving characteristic impedance z0_target at the given
-/// frequency (bisection on the analysis model).  Throws std::domain_error
-/// if the target is outside the realizable range for the substrate.
+/// frequency (bisection on the analysis model: ~100 Z0 evaluations, tens
+/// of microseconds).  Throws std::domain_error if the target is outside
+/// the realizable range for the substrate.  Counted per call as
+/// microstrip.width_syntheses.
 double synthesize_width(const Substrate& substrate, double z0_target,
                         double frequency_hz);
 

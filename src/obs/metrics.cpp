@@ -17,6 +17,7 @@ constexpr const char* kObservationalPrefixes[] = {
     "amplifier.report_cache.",       // per-thread memo hit pattern
     "yield.plan_builds",             // one build per WORKER, not per sample
     "yield.resyncs",                 // per-worker re-binds
+    "microstrip.width_syntheses",    // service boards resolve once per process
 };
 
 std::string sanitize(const std::string& name) {

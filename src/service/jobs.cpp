@@ -9,6 +9,7 @@
 
 #include "amplifier/design_flow.h"
 #include "amplifier/yield.h"
+#include "circuit/batched.h"
 #include "device/models.h"
 #include "extract/three_step.h"
 #include "mission/objective.h"
@@ -85,19 +86,40 @@ std::uint64_t uint_in(const Json& obj, const char* key, std::uint64_t fallback,
   return n;
 }
 
-AmplifierConfig parse_config(const Json& params) {
-  AmplifierConfig config;
-  const Json* c = params.find("config");
-  if (c == nullptr) return config;
-  if (!c->is_object()) bad_param("config must be an object");
-  const std::string substrate = c->string_at("substrate", "fr4");
+/// A wire board with its 50-ohm trace width synthesized.  Each board is
+/// resolved once per process (function-local statics: concurrent first
+/// jobs initialize it exactly once) instead of once per job: the
+/// synthesis is a ~100-step bisection that costs more than an evaluate
+/// job's band evaluation, and its result is a pure function of the
+/// substrate, so jobs see the same bits either way.
+const AmplifierConfig& resolved_board(const std::string& substrate) {
+  const auto resolve = [](const microstrip::Substrate& sub) {
+    AmplifierConfig config;
+    config.substrate = sub;
+    config.resolve();
+    return config;
+  };
   if (substrate == "fr4") {
-    config.substrate = microstrip::Substrate::fr4();
-  } else if (substrate == "ro4350b") {
-    config.substrate = microstrip::Substrate::ro4350b();
-  } else {
-    bad_param("unknown substrate '" + substrate + "' (fr4 | ro4350b)");
+    static const AmplifierConfig kFr4 = resolve(microstrip::Substrate::fr4());
+    return kFr4;
   }
+  if (substrate == "ro4350b") {
+    static const AmplifierConfig kRo4350b =
+        resolve(microstrip::Substrate::ro4350b());
+    return kRo4350b;
+  }
+  bad_param("unknown substrate '" + substrate + "' (fr4 | ro4350b)");
+}
+
+/// The job's resolved config: every later resolve() on the job path
+/// (topology_revision, LnaDesign, BandEvaluator, the design and yield
+/// flows, ScenarioObjective) is a no-op.  The fields applied after the
+/// copy do not enter the width synthesis.
+AmplifierConfig parse_config(const Json& params) {
+  const Json* c = params.find("config");
+  if (c == nullptr) return resolved_board("fr4");
+  if (!c->is_object()) bad_param("config must be an object");
+  AmplifierConfig config = resolved_board(c->string_at("substrate", "fr4"));
   config.vdd = num_in(*c, "vdd", config.vdd, 1.0, 12.0);
   config.t_ambient_k = num_in(*c, "t_ambient_k", config.t_ambient_k, 100.0,
                               500.0);
@@ -200,6 +222,27 @@ const mission::Scenario* parse_scenario(const Json& params) {
   return s;
 }
 
+/// The analysis of `scenario`, an entry of mission::scenario_catalog()
+/// (parse_scenario only returns those), computed once per process for the
+/// whole catalog (analyze_scenario is pure; ~0.6 ms per scenario) and
+/// shared by the yield job and list_scenarios_json.  The analyses run
+/// with the job trace detached: they are process work, so a job's span
+/// tree does not depend on whether an earlier job already paid for them.
+const mission::ScenarioAnalysis& catalog_analysis(
+    const mission::Scenario& scenario) {
+  const std::vector<mission::Scenario>& catalog = mission::scenario_catalog();
+  static const std::vector<mission::ScenarioAnalysis> kAnalyses = [&] {
+    const obs::ScopedJobTrace detached(nullptr);
+    std::vector<mission::ScenarioAnalysis> analyses;
+    analyses.reserve(catalog.size());
+    for (const mission::Scenario& s : catalog) {
+      analyses.push_back(mission::analyze_scenario(s));
+    }
+    return analyses;
+  }();
+  return kAnalyses.at(static_cast<std::size_t>(&scenario - catalog.data()));
+}
+
 Json scenario_json(const mission::ScenarioAnalysis& analysis) {
   Json o = Json::object();
   o.set("name", Json::string(analysis.scenario));
@@ -239,27 +282,21 @@ obs::TraceSink service_sink(const JobContext& ctx,
   };
 }
 
-PlanCache::Lease lease_evaluator(const JobContext& ctx,
+/// `revision` is topology_revision(config, band_hz), computed once by the
+/// caller (which also reports it).
+PlanCache::Lease lease_evaluator(const JobContext& ctx, std::uint64_t revision,
                                  const device::Phemt& device,
                                  const AmplifierConfig& config,
                                  const std::vector<double>& band_hz) {
   GNSSLNA_OBS_SPAN("service.job.plan_acquire");
   try {
     if (ctx.plans != nullptr) {
-      return ctx.plans->acquire(topology_revision(config, band_hz), device,
-                                config, band_hz);
+      return ctx.plans->acquire(revision, device, config, band_hz);
     }
     return std::make_shared<amplifier::BandEvaluator>(device, config, band_hz);
   } catch (const std::exception& e) {
     throw JobError("infeasible", e.what());
   }
-}
-
-std::string revision_hex(std::uint64_t revision) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(revision));
-  return buf;
 }
 
 Json report_json(const amplifier::BandReport& r) {
@@ -293,8 +330,10 @@ Json run_evaluate(const Json& params, const JobContext& ctx) {
   const std::vector<double> band = parse_band(params);
   const DesignVector design = parse_design(params);
   const device::Phemt device = device::Phemt::reference_device();
+  const std::uint64_t revision = topology_revision(config, band);
 
-  const PlanCache::Lease lease = lease_evaluator(ctx, device, config, band);
+  const PlanCache::Lease lease =
+      lease_evaluator(ctx, revision, device, config, band);
   if (ctx.check_cancel) ctx.check_cancel();
   amplifier::BandReport report;
   try {
@@ -305,8 +344,7 @@ Json run_evaluate(const Json& params, const JobContext& ctx) {
 
   Json out = Json::object();
   out.set("report", report_json(report));
-  out.set("plan_revision",
-          Json::string(revision_hex(topology_revision(config, band))));
+  out.set("plan_revision", Json::string(revision_hex(revision)));
   return out;
 }
 
@@ -332,8 +370,26 @@ Json run_sweep(const Json& params, const JobContext& ctx) {
   }
   if (ctx.check_cancel) ctx.check_cancel();
 
+  // One batched plan over the sweep grid: S from its port solves, NF from
+  // one noise sweep — each bit-identical to the per-point
+  // LnaDesign::s_params / noise_figure_db by the plan's contract, without
+  // a netlist rebuild per point.
   const std::vector<double> grid = rf::linear_grid(f_lo, f_hi, n);
-  const rf::SweepData sweep = lna->s_sweep(grid, 1);
+  const circuit::BatchedPlan plan(lna->build_netlist(), grid);
+  circuit::EvalWorkspace ws;
+  plan.factor(ws, 0, plan.size());
+  plan.solve_ports(ws);
+  rf::SweepData sweep(grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    sweep[i] = plan.s_params_at(ws, i);
+  }
+  std::vector<circuit::NoiseResult> noise;
+  if (with_noise) {
+    if (ctx.check_cancel) ctx.check_cancel();
+    noise.resize(grid.size());
+    plan.solve_output_transfer(ws, 1);
+    plan.noise_sweep(ws, 0, 1, noise.data());
+  }
 
   const auto db20 = [](const rf::Complex& z) {
     return 20.0 * std::log10(std::abs(z));
@@ -345,8 +401,7 @@ Json run_sweep(const Json& params, const JobContext& ctx) {
     s11.push(Json::number(db20(sweep[i].s11)));
     s21.push(Json::number(db20(sweep[i].s21)));
     s22.push(Json::number(db20(sweep[i].s22)));
-    if (with_noise) nf.push(Json::number(lna->noise_figure_db(grid[i])));
-    if (ctx.check_cancel && (i & 15u) == 15u) ctx.check_cancel();
+    if (with_noise) nf.push(Json::number(noise[i].noise_figure_db));
   }
 
   Json out = Json::object();
@@ -456,7 +511,8 @@ Json run_design(const Json& params, const JobContext& ctx) {
 
   const device::Phemt device = device::Phemt::reference_device();
   if (ctx.plans != nullptr) {
-    options.evaluator = lease_evaluator(ctx, device, config, band);
+    options.evaluator = lease_evaluator(
+        ctx, topology_revision(config, band), device, config, band);
   }
 
   numeric::Rng rng(parse_seed(params));
@@ -505,7 +561,7 @@ Json run_yield_job(const Json& params, const JobContext& ctx) {
       bad_param("goals.nf_db cannot be combined with scenario (the scenario "
                 "derives the NF goal)");
     }
-    analysis = mission::analyze_scenario(*scenario);
+    analysis = catalog_analysis(*scenario);
     goals.nf_goal_db = analysis->nf_goal_db;
   }
   const std::size_t samples = static_cast<std::size_t>(
@@ -643,7 +699,7 @@ bool is_job_type(std::string_view type) {
 Json list_scenarios_json() {
   Json out = Json::array();
   for (const mission::Scenario& s : mission::scenario_catalog()) {
-    Json o = scenario_json(mission::analyze_scenario(s));
+    Json o = scenario_json(catalog_analysis(s));
     o.set("description", Json::string(s.description));
     o.set("has_blocker", Json::boolean(s.blocker.has_value()));
     if (s.blocker.has_value()) {

@@ -83,8 +83,9 @@ Json run_job(const std::string& type, const Json& params,
 
 /// The mission-scenario catalog as a JSON array (name, description,
 /// blocker flag, and the deterministic analysis: T_ant, derived NF goal,
-/// per-constellation sub-band weights).  Backs the `list_scenarios` op;
-/// computed once and cached — analyze_scenario is pure.
+/// per-constellation sub-band weights).  Backs the `list_scenarios` op.
+/// The analyses are computed once per process and shared with the yield
+/// job's scenario goal — analyze_scenario is pure.
 Json list_scenarios_json();
 
 }  // namespace gnsslna::service

@@ -1,5 +1,6 @@
 #include "service/plan_cache.h"
 
+#include <cstdio>
 #include <cstring>
 
 #include "obs/metrics.h"
@@ -71,6 +72,13 @@ std::uint64_t topology_revision(const amplifier::AmplifierConfig& config,
   h.add(static_cast<std::uint64_t>(band_hz.size()));
   for (const double f : band_hz) h.add(f);
   return h.value();
+}
+
+std::string revision_hex(std::uint64_t revision) {
+  char buf[20];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(revision));
+  return buf;
 }
 
 PlanCache::Lease PlanCache::acquire(std::uint64_t revision,

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -43,8 +44,17 @@ namespace gnsslna::service {
 /// grid.  Two jobs with equal revisions may share evaluators; two jobs
 /// with different revisions never do.  (The device is part of the config
 /// for the service's purposes: all jobs run the paper's reference pHEMT.)
+/// The config is resolved on a copy first, so an unresolved config and a
+/// resolved copy of it map to one revision; for an already-resolved
+/// config (every job's, see jobs.cpp parse_config) that resolve() is a
+/// no-op and the call costs one hash over a few dozen bytes.  Jobs compute
+/// it once and pass it on (PlanCache::acquire, the evaluate reply).
 std::uint64_t topology_revision(const amplifier::AmplifierConfig& config,
                                 const std::vector<double>& band_hz);
+
+/// A revision as 16 lower-case hex digits (the evaluate reply's
+/// plan_revision).
+std::string revision_hex(std::uint64_t revision);
 
 class PlanCache {
  public:

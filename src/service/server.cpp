@@ -150,12 +150,9 @@ void Session::handle_frame(const std::string& payload) {
     reply.set("events", flight_json(det));
     send_doc(reply);
   } else if (op == "list_scenarios") {
-    // Pure catalog data; computed once for the process (analyze_scenario
-    // is deterministic, so every session sees identical bytes).
-    static const Json kScenarios = list_scenarios_json();
     Json reply = Json::object();
     reply.set("event", Json::string("scenarios"));
-    reply.set("scenarios", kScenarios);
+    reply.set("scenarios", list_scenarios_json());
     send_doc(reply);
   } else if (op == "shutdown") {
     {

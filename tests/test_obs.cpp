@@ -280,6 +280,9 @@ TEST(ObsMetrics, ObservationalClassificationFollowsThePrefixTable) {
   EXPECT_TRUE(obs::metric_is_observational("circuit.batch.arena_bytes_hwm"));
   EXPECT_TRUE(obs::metric_is_observational("amplifier.report_cache.hits"));
   EXPECT_TRUE(obs::metric_is_observational("yield.plan_builds"));
+  // Boards resolve once per process: a job's count depends on what ran
+  // before it.
+  EXPECT_TRUE(obs::metric_is_observational("microstrip.width_syntheses"));
 
   EXPECT_FALSE(obs::metric_is_observational("service.submitted"));
   EXPECT_FALSE(obs::metric_is_observational("service.job_latency_us"));

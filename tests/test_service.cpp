@@ -17,7 +17,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <condition_variable>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -28,11 +30,13 @@
 #include <unistd.h>
 
 #include "amplifier/design_flow.h"
+#include "device/phemt.h"
 #include "extract/three_step.h"
 #include "numeric/rng.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
+#include "rf/sweep.h"
 #include "service/jobs.h"
 #include "service/json.h"
 #include "service/plan_cache.h"
@@ -1284,6 +1288,145 @@ TEST_F(ServicePipeTest, StatsOpReportsTheSloArray) {
   const std::vector<std::string> expected = {"latency_p50", "latency_p99",
                                              "rejection_rate", "error_rate"};
   EXPECT_EQ(names, expected);
+}
+
+// --- resolved boards, the revision contract, the one-plan sweep ------------
+
+/// Submits every job at once to a fresh 4-worker scheduler and waits for
+/// all of them (each must succeed).
+void run_on_four_workers(const std::vector<TargetJob>& jobs) {
+  service::SchedulerOptions options;
+  options.workers = 4;
+  options.queue_capacity = 256;
+  options.max_queued_per_client = 256;
+  service::Scheduler scheduler(options);
+  std::vector<service::Scheduler::TicketPtr> tickets;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    auto t = scheduler.submit("boards-" + std::to_string(i % 4), jobs[i].type,
+                              parse_or_die(jobs[i].params_text));
+    ASSERT_NE(t, nullptr) << jobs[i].label;
+    tickets.push_back(std::move(t));
+  }
+  for (std::size_t i = 0; i < tickets.size(); ++i) {
+    const service::JobOutcome& outcome = tickets[i]->wait();
+    EXPECT_EQ(outcome.status, "ok")
+        << jobs[i].label << ": " << outcome.error_message;
+  }
+  scheduler.shutdown();
+}
+
+std::uint64_t width_syntheses() {
+  return obs::metrics_snapshot().counter("microstrip.width_syntheses");
+}
+
+/// The wire's boards are resolved once per process: once each substrate
+/// has served a job, evaluate and sweep jobs never re-run the 50-ohm width
+/// synthesis (it used to run at least twice per evaluate job).  The
+/// warm-up sends four jobs per substrate through four workers at once, so
+/// on a fresh process the first jobs race into the per-substrate boards
+/// (the TSan job repeats this suite).
+TEST(ServiceBoards, JobsNeverResynthesizeTheBoardWidth) {
+  if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
+  ObsStateGuard guard;
+  obs::set_enabled(true);
+
+  std::vector<TargetJob> warm_up;
+  for (int i = 0; i < 4; ++i) {
+    warm_up.push_back({"warm-fr4", "evaluate", "{}"});
+    warm_up.push_back(
+        {"warm-ro4350b", "evaluate", R"({"config":{"substrate":"ro4350b"}})"});
+  }
+  run_on_four_workers(warm_up);
+  EXPECT_LE(width_syntheses(), 2u) << "one synthesis per board at most";
+
+  std::vector<TargetJob> jobs;
+  for (int i = 0; i < 20; ++i) {
+    static const char* const kConfigs[] = {
+        "", R"("config":{"substrate":"fr4","vdd":4.5},)",
+        R"("config":{"substrate":"ro4350b"},)",
+        R"("config":{"t_ambient_k":310,"model_tee":false},)"};
+    char params[256];
+    std::snprintf(params, sizeof params, R"({%s"design":{"vgs":%.3f}})",
+                  kConfigs[i % 4], -0.25 - 0.01 * (i % 5));
+    jobs.push_back({"evaluate", "evaluate", params});
+  }
+  for (const char* substrate : {"fr4", "ro4350b"}) {
+    jobs.push_back({"sweep", "sweep", R"({"n_points":5})"});
+    jobs.push_back(
+        {"sweep", "sweep",
+         std::string(R"({"n_points":5,"config":{"substrate":")") + substrate +
+             R"("}})"});
+  }
+  const std::uint64_t before = width_syntheses();
+  run_on_four_workers(jobs);
+  EXPECT_EQ(width_syntheses(), before);
+
+  // The counter is live: resolving an unresolved config synthesizes once.
+  amplifier::AmplifierConfig unresolved;
+  unresolved.resolve();
+  EXPECT_EQ(width_syntheses(), before + 1);
+}
+
+/// topology_revision resolves a copy of its config, so an unresolved board
+/// and its resolved copy share one revision — which is what lets the jobs
+/// hand it pre-resolved boards without moving any plan_revision.
+TEST(ServiceBoards, ResolvedAndUnresolvedBoardsShareOneRevision) {
+  const std::vector<double> band = amplifier::LnaDesign::default_band();
+  const amplifier::AmplifierConfig unresolved;
+  amplifier::AmplifierConfig resolved = unresolved;
+  resolved.resolve();
+  ASSERT_GT(resolved.w50_m, 0.0);
+  const std::uint64_t revision = service::topology_revision(unresolved, band);
+  EXPECT_EQ(service::topology_revision(resolved, band), revision);
+
+  const std::string expected = service::revision_hex(revision);
+  for (const char* params : {"{}", R"({"config":{"substrate":"fr4"}})"}) {
+    const Json reply = service::run_job("evaluate", parse_or_die(params), {});
+    EXPECT_EQ(reply.string_at("plan_revision"), expected) << params;
+  }
+  const Json ro4350b = service::run_job(
+      "evaluate", parse_or_die(R"({"config":{"substrate":"ro4350b"}})"), {});
+  EXPECT_NE(ro4350b.string_at("plan_revision"), expected);
+  EXPECT_EQ(ro4350b.string_at("plan_revision").size(), 16u);
+}
+
+/// The sweep job prices every point on one batched plan; its arrays equal
+/// the per-point paths exactly (S from LnaDesign::s_sweep, NF from one
+/// noise_figure_db call per point).
+TEST(ServiceJobs, SweepArraysEqualThePerPointAnalyses) {
+  const amplifier::LnaDesign lna(device::Phemt::reference_device(),
+                                 amplifier::AmplifierConfig{},
+                                 amplifier::DesignVector{});
+  const auto db20 = [](const rf::Complex& z) {
+    return 20.0 * std::log10(std::abs(z));
+  };
+  for (const std::size_t n : {std::size_t{5}, std::size_t{21},
+                              std::size_t{201}}) {
+    const Json reply = service::run_job(
+        "sweep",
+        parse_or_die(R"({"f_lo_hz":1.1e9,"f_hi_hz":1.7e9,"n_points":)" +
+                     std::to_string(n) + "}"),
+        {});
+    const std::vector<double> grid = rf::linear_grid(1.1e9, 1.7e9, n);
+    const rf::SweepData sweep = lna.s_sweep(grid);
+    const Json* freq = reply.find("frequency_hz");
+    const Json* s11 = reply.find("s11_db");
+    const Json* s21 = reply.find("s21_db");
+    const Json* s22 = reply.find("s22_db");
+    const Json* nf = reply.find("nf_db");
+    ASSERT_TRUE(freq && s11 && s21 && s22 && nf) << reply.dump();
+    ASSERT_EQ(nf->size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(freq->at(i).as_number(), grid[i]);
+      EXPECT_EQ(s11->at(i).as_number(), db20(sweep[i].s11)) << n << "/" << i;
+      EXPECT_EQ(s21->at(i).as_number(), db20(sweep[i].s21)) << n << "/" << i;
+      EXPECT_EQ(s22->at(i).as_number(), db20(sweep[i].s22)) << n << "/" << i;
+      EXPECT_EQ(nf->at(i).as_number(), lna.noise_figure_db(grid[i]))
+          << n << "/" << i;
+    }
+    EXPECT_EQ(reply.number_at("group_delay_ripple_s", -1.0),
+              rf::group_delay_ripple(sweep));
+  }
 }
 
 }  // namespace
