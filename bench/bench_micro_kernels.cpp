@@ -2,9 +2,10 @@
 // leans on: the analytic FET S-parameter evaluation, the MNA assembly +
 // LU solve of the full LNA netlist, the spot noise analysis, one
 // optimizer objective evaluation, and the full band-evaluation kernel in
-// its optimizer shape (one design parameter moves per point, evaluated
-// through the batched plan).  These bound the cost model used to
-// budget the optimization runs.
+// two shapes, evaluated through the batched plan: one design parameter
+// moves per point (BM_BandEvaluation) and all twelve move per point
+// (BM_BandEvaluationFullStep, the per-candidate cost).  These bound the
+// cost model used to budget the optimization runs.
 //
 // Extra modes on top of the usual google-benchmark flags:
 //   --json <path>   also write {name, iterations, ns/op, bytes/op} records
@@ -21,6 +22,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <cstdint>
 #include <ctime>
 
 #include "amplifier/lna.h"
@@ -138,6 +141,55 @@ void BM_BandEvaluation(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_BandEvaluation);
+
+/// Moves all 12 DesignVector fields on every call, the way optimizer
+/// candidates, yield trials and service jobs do: field i follows a
+/// triangle wave of its own period (so consecutive steps always differ)
+/// around the default design, inside DesignVector::bounds() and within a
+/// bias box the default device can always reach.
+void step_all_fields(amplifier::DesignVector& d, std::uint64_t& step) {
+  const amplifier::DesignVector nominal;
+  ++step;
+  const auto tri = [&](std::uint64_t period) {  // in [-1, 1]
+    const double x = static_cast<double>(step % (2 * period));
+    return std::abs(x - static_cast<double>(period)) /
+               static_cast<double>(period) * 2.0 -
+           1.0;
+  };
+  d.vgs = nominal.vgs + 0.05 * tri(5);
+  d.vds = nominal.vds + 0.3 * tri(7);
+  d.l_in_m = nominal.l_in_m * (1.0 + 0.25 * tri(11));
+  d.l_in2_m = nominal.l_in2_m * (1.0 + 0.25 * tri(13));
+  d.l_shunt_h = nominal.l_shunt_h * (1.0 + 0.2 * tri(17));
+  d.c_mid_f = nominal.c_mid_f * (1.0 + 0.2 * tri(19));
+  d.l_out_m = nominal.l_out_m * (1.0 + 0.25 * tri(23));
+  d.c_out_sh_f = nominal.c_out_sh_f * (1.0 + 0.2 * tri(29));
+  d.l_out2_m = nominal.l_out2_m * (1.0 + 0.25 * tri(31));
+  d.l_sdeg_h = nominal.l_sdeg_h * (1.0 + 0.2 * tri(37));
+  d.c_in_f = nominal.c_in_f * (1.0 + 0.2 * tri(41));
+  d.r_fb_ohm = nominal.r_fb_ohm * (1.0 + 0.2 * tri(43));
+}
+
+/// The per-candidate cost of a band evaluation: every op re-stamps every
+/// design-bound table (bias + FET, five passives, feedback resistor, four
+/// lines) before the factor, solves and noise.  Informational, not gated.
+void BM_BandEvaluationFullStep(benchmark::State& state) {
+  const device::Phemt dev = device::Phemt::reference_device();
+  amplifier::AmplifierConfig config;
+  amplifier::BandEvaluator evaluator(dev, config);
+  amplifier::DesignVector d;
+  std::uint64_t step = 0;
+  // Warm up as in BM_BandEvaluation, so allocs_per_op pins 0.
+  (void)evaluator.evaluate(d);
+  step_all_fields(d, step);
+  (void)evaluator.evaluate(d);
+  step_all_fields(d, step);
+  run_counted(state, "BM_BandEvaluationFullStep", [&] {
+    benchmark::DoNotOptimize(evaluator.evaluate(d));
+    step_all_fields(d, step);
+  });
+}
+BENCHMARK(BM_BandEvaluationFullStep);
 
 /// The raw batched kernel: assemble + blocked LU + all three solves over
 /// the full 16-lane grid, no retabulation and no figure extraction.  The

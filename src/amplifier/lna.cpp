@@ -33,7 +33,7 @@ std::function<circuit::Complex(double)> z_of(Part part) {
 /// Y-block of a microstrip line (copyable by value).
 circuit::YBlockFn line_y(microstrip::Line line) {
   return [line = std::move(line)](double f) {
-    return rf::y_from_abcd(line.abcd(f));
+    return microstrip::Line::y_from(line.propagation(f), line.length());
   };
 }
 
@@ -52,7 +52,7 @@ FetClosures fet_closures(const device::Phemt& dev, const device::Bias& bias) {
   const device::ExtrinsicParams ex = dev.extrinsics();
   const device::NoiseTemperatures nt = dev.temperatures();
   return {[ip, ex](double f) {
-            return rf::y_from_s(device::fet_s_params(ip, ex, f));
+            return device::fet_y_params(ip, ex, f);
           },
           [ip, ex, nt](double f) {
             return device::pospieszalski_noise(ip, ex, nt, f);
@@ -441,10 +441,13 @@ void BandEvaluator::build(const DesignVector& design) {
   for (std::size_t fi = 0; fi < prop.size(); ++fi) {
     prop[fi] = w50_probe.propagation(plan.grid()[fi]);
   }
+  std::vector<passives::FrequencyFactors> freq =
+      planw::frequency_table(plan.grid());
   // Commit to the members only once everything built, so a throwing
   // design leaves the evaluator reusable.
   bplan_ = std::move(plan);
   w50_prop_ = std::move(prop);
+  freq_ = std::move(freq);
   bindings_ = bindings;
   bias_ = lna.bias();
   nt_adj_ = device_.temperatures();
@@ -501,32 +504,32 @@ void BandEvaluator::retabulate(const DesignVector& design) {
     if (changed(&DesignVector::c_in_f)) {
       retabulated += planw::write_lossy(
           bplan_, bindings_.cin,
-          passives::make_capacitor(design.c_in_f, config_.package), t,
-          nb);
+          passives::make_capacitor(design.c_in_f, config_.package), freq_,
+          t, nb);
     }
     if (changed(&DesignVector::l_shunt_h)) {
       retabulated += planw::write_lossy(
           bplan_, bindings_.lshunt,
-          passives::make_inductor(design.l_shunt_h, config_.package), t,
-          nb);
+          passives::make_inductor(design.l_shunt_h, config_.package), freq_,
+          t, nb);
     }
     if (changed(&DesignVector::c_mid_f)) {
       retabulated += planw::write_lossy(
           bplan_, bindings_.cmid,
-          passives::make_capacitor(design.c_mid_f, config_.package), t,
-          nb);
+          passives::make_capacitor(design.c_mid_f, config_.package), freq_,
+          t, nb);
     }
     if (changed(&DesignVector::l_sdeg_h)) {
       retabulated += planw::write_lossy(
           bplan_, bindings_.lsdeg,
-          passives::make_inductor(design.l_sdeg_h, config_.package), t,
-          nb);
+          passives::make_inductor(design.l_sdeg_h, config_.package), freq_,
+          t, nb);
     }
     if (changed(&DesignVector::c_out_sh_f)) {
       retabulated += planw::write_lossy(
           bplan_, bindings_.coutsh,
-          passives::make_capacitor(design.c_out_sh_f, config_.package), t,
-          nb);
+          passives::make_capacitor(design.c_out_sh_f, config_.package), freq_,
+          t, nb);
     }
   } else {
     if (changed(&DesignVector::c_in_f)) {
@@ -559,28 +562,20 @@ void BandEvaluator::retabulate(const DesignVector& design) {
                                          t, nb);
   }
   if (changed(&DesignVector::l_in_m)) {
-    retabulated += planw::write_line(
-        bplan_, bindings_.tlin1,
-        microstrip::Line(config_.substrate, config_.w50_m, design.l_in_m),
-        w50_prop_, t, nb);
+    retabulated += planw::write_line(bplan_, bindings_.tlin1,
+                                     design.l_in_m, w50_prop_, t, nb);
   }
   if (changed(&DesignVector::l_in2_m)) {
-    retabulated += planw::write_line(
-        bplan_, bindings_.tlin2,
-        microstrip::Line(config_.substrate, config_.w50_m, design.l_in2_m),
-        w50_prop_, t, nb);
+    retabulated += planw::write_line(bplan_, bindings_.tlin2,
+                                     design.l_in2_m, w50_prop_, t, nb);
   }
   if (changed(&DesignVector::l_out_m)) {
-    retabulated += planw::write_line(
-        bplan_, bindings_.tlout1,
-        microstrip::Line(config_.substrate, config_.w50_m, design.l_out_m),
-        w50_prop_, t, nb);
+    retabulated += planw::write_line(bplan_, bindings_.tlout1,
+                                     design.l_out_m, w50_prop_, t, nb);
   }
   if (changed(&DesignVector::l_out2_m)) {
-    retabulated += planw::write_line(
-        bplan_, bindings_.tlout2,
-        microstrip::Line(config_.substrate, config_.w50_m, design.l_out2_m),
-        w50_prop_, t, nb);
+    retabulated += planw::write_line(bplan_, bindings_.tlout2,
+                                     design.l_out2_m, w50_prop_, t, nb);
   }
   if (bias_changed) {
     // Same hoisting as fet_closures: the small-signal extraction is a

@@ -13,6 +13,7 @@
 #include "amplifier/topology.h"
 #include "circuit/analysis.h"
 #include "circuit/batched.h"
+#include "passives/component.h"
 
 namespace gnsslna::amplifier {
 
@@ -208,9 +209,12 @@ class BandEvaluator {
   circuit::EvalWorkspace workspace_;
   /// Dispersion curve of a w50-wide line over the plan grid, cached at
   /// build time: propagation data depend on (substrate, width, f) only,
-  /// so every design-vector line length reuses this table
-  /// (abcd_from(propagation(f)) == abcd(f) bit-for-bit).
+  /// so every design-vector line length reuses this table through
+  /// Line::y_from.
   std::vector<microstrip::Line::Propagation> w50_prop_;
+  /// Frequency-only factors of the dispersive passives over the plan grid
+  /// (planw::frequency_table), cached at build time.
+  std::vector<passives::FrequencyFactors> freq_;
   /// Per-in-band-lane noise results from the batched sweep.
   std::vector<circuit::NoiseResult> noise_buf_;
   BiasNetwork bias_;                  ///< bias for `last_` (id_a, r_drain)

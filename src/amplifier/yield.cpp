@@ -317,6 +317,7 @@ YieldTrialEvaluator::YieldTrialEvaluator(const device::Phemt& device,
   bplan_ = circuit::BatchedPlan(nl, std::move(grid));
   w50_prop_.resize(bplan_.grid().size());
   wbias_prop_.resize(bplan_.grid().size());
+  freq_ = planw::frequency_table(bplan_.grid());
   noise_buf_.resize(band_hz_.size());
   nt_adj_ = device_.temperatures();
   if (config_.t_ambient_k != 290.0) {
@@ -353,20 +354,20 @@ void YieldTrialEvaluator::retabulate(const TrialDraw& draw,
 
   if (config_.dispersive_passives) {
     planw::write_lossy(bplan_, bindings_.cin,
-                       passives::make_capacitor(d.c_in_f, config_.package), t,
-                       nb);
+                       passives::make_capacitor(d.c_in_f, config_.package),
+                       freq_, t, nb);
     planw::write_lossy(bplan_, bindings_.lshunt,
                        passives::make_inductor(d.l_shunt_h, config_.package),
-                       t, nb);
+                       freq_, t, nb);
     planw::write_lossy(bplan_, bindings_.cmid,
-                       passives::make_capacitor(d.c_mid_f, config_.package), t,
-                       nb);
+                       passives::make_capacitor(d.c_mid_f, config_.package),
+                       freq_, t, nb);
     planw::write_lossy(bplan_, bindings_.lsdeg,
-                       passives::make_inductor(d.l_sdeg_h, config_.package), t,
-                       nb);
+                       passives::make_inductor(d.l_sdeg_h, config_.package),
+                       freq_, t, nb);
     planw::write_lossy(bplan_, bindings_.coutsh,
                        passives::make_capacitor(d.c_out_sh_f, config_.package),
-                       t, nb);
+                       freq_, t, nb);
   } else {
     planw::write_capacitor(bplan_, bindings_.cin.element, d.c_in_f);
     planw::write_inductor(bplan_, bindings_.lshunt.element, d.l_shunt_h);
@@ -378,24 +379,15 @@ void YieldTrialEvaluator::retabulate(const TrialDraw& draw,
   planw::write_resistor(bplan_, bindings_.rdrain, bias.r_drain, t, nb);
 
   // Design-vector matching lines on the trial board.
-  planw::write_line(bplan_, bindings_.tlin1,
-                    microstrip::Line(sub, config_.w50_m, d.l_in_m), w50_prop_,
-                    t, nb);
-  planw::write_line(bplan_, bindings_.tlin2,
-                    microstrip::Line(sub, config_.w50_m, d.l_in2_m), w50_prop_,
-                    t, nb);
-  planw::write_line(bplan_, bindings_.tlout1,
-                    microstrip::Line(sub, config_.w50_m, d.l_out_m), w50_prop_,
-                    t, nb);
-  planw::write_line(bplan_, bindings_.tlout2,
-                    microstrip::Line(sub, config_.w50_m, d.l_out2_m),
-                    w50_prop_, t, nb);
+  planw::write_line(bplan_, bindings_.tlin1, d.l_in_m, w50_prop_, t, nb);
+  planw::write_line(bplan_, bindings_.tlin2, d.l_in2_m, w50_prop_, t, nb);
+  planw::write_line(bplan_, bindings_.tlout1, d.l_out_m, w50_prop_, t, nb);
+  planw::write_line(bplan_, bindings_.tlout2, d.l_out2_m, w50_prop_, t, nb);
 
   // Substrate-dependent fixed elements the optimizer path never touches:
   // the bias line and the tee parasitics follow the trial's board.
-  planw::write_line(bplan_, bindings_.tlbias,
-                    microstrip::Line(sub, config_.w_bias_m, config_.l_bias_m),
-                    wbias_prop_, t, nb);
+  planw::write_line(bplan_, bindings_.tlbias, config_.l_bias_m, wbias_prop_,
+                    t, nb);
   if (bindings_.has_tee) {
     const microstrip::TeeJunction tee(sub, config_.w50_m, config_.w_bias_m);
     planw::write_inductor(bplan_, bindings_.ltee1, tee.arm_inductance_main());

@@ -179,6 +179,8 @@ class YieldTrialEvaluator {
   /// board (length-independent; see BandEvaluator::w50_prop_), rewritten
   /// in place each trial because the substrate moves.
   std::vector<microstrip::Line::Propagation> w50_prop_, wbias_prop_;
+  /// Frequency-only passive factors over the plan grid, built once.
+  std::vector<passives::FrequencyFactors> freq_;
   std::vector<circuit::NoiseResult> noise_buf_;
   device::NoiseTemperatures nt_adj_;  ///< ambient-scaled FET temperatures
 };

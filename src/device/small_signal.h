@@ -41,7 +41,13 @@ struct ExtrinsicParams {
 /// Intrinsic-core Y-parameters at frequency f (common source).
 rf::YParams intrinsic_y(const IntrinsicParams& in, double frequency_hz);
 
-/// Full small-signal S-parameters including the extrinsic shell.
+/// Full small-signal Y-parameters including the extrinsic shell: the
+/// embedded two-port the circuit stamps directly.
+rf::YParams fet_y_params(const IntrinsicParams& in, const ExtrinsicParams& ex,
+                         double frequency_hz);
+
+/// Full small-signal S-parameters including the extrinsic shell:
+/// s_from_y(fet_y_params(in, ex, f), z0).
 rf::SParams fet_s_params(const IntrinsicParams& in, const ExtrinsicParams& ex,
                          double frequency_hz, double z0 = rf::kZ0);
 

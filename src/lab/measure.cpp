@@ -4,9 +4,9 @@
 #include <memory>
 #include <utility>
 
+#include "circuit/batched.h"
 #include "microstrip/line.h"
 #include "nonlinear/two_tone.h"
-#include "numeric/parallel.h"
 #include "rf/sweep.h"
 #include "rf/touchstone.h"
 
@@ -117,9 +117,23 @@ MeasuredDesignReport measure_design(const device::Phemt& device,
   report.nf_points = meter.measure_nf(dut, threads);
   report.noise_parameters =
       meter.measure_noise_parameters(dut, options.noise_states, 0.4, threads);
-  report.nf_sim_db = numeric::parallel_map(
-      threads, grid.size(),
-      [&](std::size_t i) { return nominal.noise_figure_db(grid[i]); });
+  // The simulation column: S and NF of the nominal design from ONE batched
+  // plan over the grid (port solves + one noise sweep), bit-identical to
+  // the per-point LnaDesign::s_params / noise_figure_db by the plan's
+  // contract, without a netlist rebuild per point.
+  const circuit::BatchedPlan plan(nominal.build_netlist(), grid);
+  circuit::EvalWorkspace ws;
+  plan.factor(ws, 0, plan.size());
+  plan.solve_ports(ws);
+  plan.solve_output_transfer(ws, 1);
+  std::vector<circuit::NoiseResult> noise(grid.size());
+  plan.noise_sweep(ws, 0, 1, noise.data());
+  rf::SweepData s_nominal(grid.size());
+  report.nf_sim_db.resize(grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    s_nominal[i] = plan.s_params_at(ws, i);
+    report.nf_sim_db[i] = noise[i].noise_figure_db;
+  }
 
   // --- Two-tone IM3 bench. ---
   Im3Bench bench(options.im3);
@@ -135,7 +149,6 @@ MeasuredDesignReport measure_design(const device::Phemt& device,
   report.oip3_delta_db = report.im3.oip3_dbm - report.oip3_sim_dbm;
 
   // --- Aggregates for the measured-vs-simulated table. ---
-  const rf::SweepData s_nominal = nominal.s_sweep(grid, threads);
   double nf_meas = 0.0, nf_sim = 0.0, g_meas = 0.0, g_sim = 0.0;
   for (std::size_t i = 0; i < grid.size(); ++i) {
     nf_meas += report.nf_points[i].nf_db;

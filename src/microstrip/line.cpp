@@ -60,6 +60,15 @@ Line::Line(const Substrate& substrate, double width_m, double length_m)
   u_eff_ = thickness_corrected_u(u, t_over_h, substrate_.epsilon_r);
   eeff0_ = eeff_static(u_eff_, substrate_.epsilon_r);
   z0_static_ = z01_homogeneous(u_eff_) / std::sqrt(eeff0_);
+  // Frequency-independent factors of the Kirschning-Jansen curve and of
+  // the dielectric loss, formed once here with the very expressions the
+  // per-frequency formulas below would form on every call.
+  const double er = substrate_.epsilon_r;
+  kj_p1_tail_ = 0.065683 * std::exp(-8.7513 * u_eff_);
+  kj_p2_ = 0.33622 * (1.0 - std::exp(-0.03442 * er));
+  kj_p3_head_ = 0.0363 * std::exp(-4.6 * u_eff_);
+  kj_p4_ = 1.0 + 2.751 * (1.0 - std::exp(-std::pow(er / 15.916, 8)));
+  diel_head_ = 27.3 * (er / (er - 1.0));
 }
 
 double Line::epsilon_eff(double frequency_hz) const {
@@ -68,20 +77,17 @@ double Line::epsilon_eff(double frequency_hz) const {
   }
   // Kirschning-Jansen dispersion model.  fn is the normalized frequency
   // f * h in GHz * cm.
+  // p2, p4 and the u-only terms of p1, p3 come from the constructor.
   const double er = substrate_.epsilon_r;
   const double u = u_eff_;
   const double fn = frequency_hz / 1e9 * substrate_.height_m * 100.0;
 
   const double p1 =
-      0.27488 +
-      (0.6315 + 0.525 / std::pow(1.0 + 0.157 * fn, 20)) * u -
-      0.065683 * std::exp(-8.7513 * u);
-  const double p2 = 0.33622 * (1.0 - std::exp(-0.03442 * er));
+      0.27488 + (0.6315 + 0.525 / std::pow(1.0 + 0.157 * fn, 20)) * u -
+      kj_p1_tail_;
   const double p3 =
-      0.0363 * std::exp(-4.6 * u) *
-      (1.0 - std::exp(-std::pow(fn / 3.87, 4.97)));
-  const double p4 = 1.0 + 2.751 * (1.0 - std::exp(-std::pow(er / 15.916, 8)));
-  const double p = p1 * p2 * std::pow((0.1844 + p3 * p4) * fn, 1.5763);
+      kj_p3_head_ * (1.0 - std::exp(-std::pow(fn / 3.87, 4.97)));
+  const double p = p1 * kj_p2_ * std::pow((0.1844 + p3 * kj_p4_) * fn, 1.5763);
 
   return er - (er - eeff0_) / (1.0 + p);
 }
@@ -119,11 +125,10 @@ double Line::alpha_conductor(double frequency_hz) const {
 }
 
 double Line::alpha_dielectric_from(double frequency_hz, double ef) const {
-  const double er = substrate_.epsilon_r;
   const double lambda0 = rf::kC0 / frequency_hz;
-  // Standard mixed-media dielectric loss, in dB/m, converted to Np/m.
-  const double alpha_db_per_m = 27.3 * (er / (er - 1.0)) *
-                                ((ef - 1.0) / std::sqrt(ef)) *
+  // Standard mixed-media dielectric loss, in dB/m, converted to Np/m
+  // (diel_head_ = 27.3 er / (er - 1)).
+  const double alpha_db_per_m = diel_head_ * ((ef - 1.0) / std::sqrt(ef)) *
                                 substrate_.tan_delta / lambda0;
   return alpha_db_per_m / 8.685889638;
 }
@@ -164,16 +169,51 @@ Line::Propagation Line::propagation(double frequency_hz) const {
 }
 
 rf::AbcdParams Line::abcd(double frequency_hz) const {
-  return abcd_from(propagation(frequency_hz));
-}
-
-rf::AbcdParams Line::abcd_from(const Propagation& p) const {
+  const Propagation p = propagation(frequency_hz);
   const std::complex<double> gamma{p.alpha_np_m, p.beta_rad_m};
   const std::complex<double> gl = gamma * length_m_;
   const std::complex<double> zc{p.z0_ohm, 0.0};
   const std::complex<double> ch = std::cosh(gl);
   const std::complex<double> sh = std::sinh(gl);
   return {p.frequency_hz, ch, zc * sh, sh / zc, ch};
+}
+
+rf::YParams Line::y_from(const Propagation& p, double length_m) {
+  const double theta = p.beta_rad_m * length_m;
+  const double s = std::sin(theta);
+  const double c = std::cos(theta);
+  // |e| = exp(-alpha l) = 1 + em and |e|^2 - 1 = em (2 + em), kept as
+  // differences so that short or nearly lossless lines lose no digits.
+  const double em = std::expm1(-p.alpha_np_m * length_m);
+  const double m = em * (2.0 + em);
+  const double e2_mag = 1.0 + m;
+  // e^2 = |e|^2 (cos 2theta - j sin 2theta); with 1 - cos 2theta = 2 s^2
+  // and 1 + cos 2theta = 2 c^2:
+  //   1 - e^2 = 2 s^2 - m cos 2theta + j |e|^2 sin 2theta,
+  //   1 + e^2 = 2 c^2 + m cos 2theta - j |e|^2 sin 2theta.
+  const double cos2 = (c - s) * (c + s);
+  const double sin2_e2 = e2_mag * (2.0 * s * c);
+  const double d_re = 2.0 * s * s - m * cos2;
+  const double n_re = 2.0 * c * c + m * cos2;
+  const double dd = d_re * d_re + sin2_e2 * sin2_e2;
+  if (!(dd > 0.0)) {
+    throw std::domain_error("Line::y_from: lossless half-wave line has no Y");
+  }
+  // q = 1 / ((1 - e^2) Zc) = conj(1 - e^2) / (|1 - e^2|^2 Zc).
+  const double k = 1.0 / (dd * p.z0_ohm);
+  const double q_re = d_re * k;
+  const double q_im = -sin2_e2 * k;
+  // e = |e| (c - j s).
+  const double e_re = (1.0 + em) * c;
+  const double e_im = -(1.0 + em) * s;
+  rf::YParams y;
+  y.frequency_hz = p.frequency_hz;
+  y.y11 = {n_re * q_re + sin2_e2 * q_im, n_re * q_im - sin2_e2 * q_re};
+  y.y12 = {-2.0 * (e_re * q_re - e_im * q_im),
+           -2.0 * (e_re * q_im + e_im * q_re)};
+  y.y21 = y.y12;
+  y.y22 = y.y11;
+  return y;
 }
 
 rf::SParams Line::s_params(double frequency_hz, double z0_ref) const {

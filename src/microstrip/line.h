@@ -71,12 +71,19 @@ class Line {
   /// returned values are bit-identical to the accessors').
   Propagation propagation(double frequency_hz) const;
 
-  /// ABCD parameters of the lossy line at f.
+  /// ABCD parameters of the lossy line at f (cosh/sinh of gamma l).
   rf::AbcdParams abcd(double frequency_hz) const;
 
-  /// ABCD parameters from precomputed propagation data (applies this
-  /// line's length); abcd(f) == abcd_from(propagation(f)) bit-for-bit.
-  rf::AbcdParams abcd_from(const Propagation& p) const;
+  /// Y-parameters of a uniform line of length_m > 0 with propagation data
+  /// p, formed directly from e = exp(-gamma l):
+  ///   y11 = y22 = (1 + e^2) / ((1 - e^2) Zc),
+  ///   y12 = y21 = -2 e / ((1 - e^2) Zc),
+  /// i.e. coth(gamma l) / Zc and -csch(gamma l) / Zc.  The symmetric
+  /// entries are equal by construction.  Static because p carries all the
+  /// width dependence: a table of p serves every length of one width.
+  /// Throws std::domain_error for a lossless line at a multiple of a half
+  /// wavelength (no Y exists).
+  static rf::YParams y_from(const Propagation& p, double length_m);
 
   /// S-parameters at f referenced to z0_ref.
   rf::SParams s_params(double frequency_hz, double z0_ref = rf::kZ0) const;
@@ -96,6 +103,13 @@ class Line {
   double u_eff_;      // thickness-corrected w/h
   double eeff0_;      // static effective permittivity
   double z0_static_;  // static characteristic impedance
+  // Frequency-independent factors of epsilon_eff(f) and the dielectric
+  // loss, formed once per line (see the constructor).
+  double kj_p1_tail_;
+  double kj_p2_;
+  double kj_p3_head_;
+  double kj_p4_;
+  double diel_head_;
 };
 
 /// Finds the width giving characteristic impedance z0_target at the given

@@ -39,6 +39,10 @@ std::string engineering(double value, const char* unit) {
 }
 }  // namespace
 
+FrequencyFactors frequency_factors(double frequency_hz) {
+  return {omega(frequency_hz), std::sqrt(frequency_hz / 1e9)};
+}
+
 double Component::q_factor(double frequency_hz) const {
   const Complex z = impedance(frequency_hz);
   if (z.real() <= 0.0) {
@@ -69,10 +73,14 @@ Capacitor Capacitor::ideal(double capacitance_f) {
 }
 
 Complex Capacitor::impedance(double frequency_hz) const {
-  const double w = omega(frequency_hz);
+  const FrequencyFactors ff = frequency_factors(frequency_hz);
+  return impedance(ff.omega, ff.sqrt_f_ghz);
+}
+
+Complex Capacitor::impedance(double w, double sqrt_f_ghz) const {
   // ESR = dielectric term (tan_delta / (w C)) + electrode skin term.
   const double esr_dielectric = p_.tan_delta / (w * p_.capacitance_f);
-  const double esr_metal = p_.r_metal_1ghz * std::sqrt(frequency_hz / 1e9);
+  const double esr_metal = p_.r_metal_1ghz * sqrt_f_ghz;
   const double esr = esr_dielectric + esr_metal;
   const double reactance = w * p_.esl_h - 1.0 / (w * p_.capacitance_f);
   return {esr, reactance};
@@ -105,8 +113,12 @@ Inductor Inductor::ideal(double inductance_h) {
 }
 
 Complex Inductor::impedance(double frequency_hz) const {
-  const double w = omega(frequency_hz);
-  const double rs = p_.r_dc + p_.r_skin_1ghz * std::sqrt(frequency_hz / 1e9);
+  const FrequencyFactors ff = frequency_factors(frequency_hz);
+  return impedance(ff.omega, ff.sqrt_f_ghz);
+}
+
+Complex Inductor::impedance(double w, double sqrt_f_ghz) const {
+  const double rs = p_.r_dc + p_.r_skin_1ghz * sqrt_f_ghz;
   const Complex z_branch{rs, w * p_.inductance_h};
   if (p_.c_parallel_f <= 0.0) return z_branch;
   const Complex y_cap{0.0, w * p_.c_parallel_f};

@@ -23,6 +23,18 @@ namespace gnsslna::passives {
 
 using Complex = std::complex<double>;
 
+/// The frequency-only factors of the dispersive models: w = 2 pi f and
+/// sqrt(f / 1 GHz) (the skin-loss scaling).  Capacitor/Inductor::
+/// impedance(f) form them through this function, so a caller that
+/// tabulates them once per grid point and calls impedance(omega,
+/// sqrt_f_ghz) gets the same bits.  Throws std::invalid_argument for
+/// f <= 0.
+struct FrequencyFactors {
+  double omega = 0.0;
+  double sqrt_f_ghz = 0.0;
+};
+FrequencyFactors frequency_factors(double frequency_hz);
+
 /// Interface: a one-port lumped element with frequency-dependent impedance.
 class Component {
  public:
@@ -57,6 +69,9 @@ class Capacitor final : public Component {
   static Capacitor ideal(double capacitance_f);
 
   Complex impedance(double frequency_hz) const override;
+  /// impedance() from frequency_factors(f); impedance(f) is defined
+  /// through it.
+  Complex impedance(double omega, double sqrt_f_ghz) const;
   std::string name() const override;
 
   /// Series self-resonant frequency 1 / (2 pi sqrt(ESL C)) [Hz].
@@ -84,6 +99,9 @@ class Inductor final : public Component {
   static Inductor ideal(double inductance_h);
 
   Complex impedance(double frequency_hz) const override;
+  /// impedance() from frequency_factors(f); impedance(f) is defined
+  /// through it.
+  Complex impedance(double omega, double sqrt_f_ghz) const;
   std::string name() const override;
 
   /// Parallel self-resonant frequency 1 / (2 pi sqrt(L Cp)) [Hz].

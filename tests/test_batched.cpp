@@ -16,6 +16,7 @@
 #include <numbers>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -323,6 +324,53 @@ TEST(BatchedPlan, BandReportIdenticalAcrossPathsAndThreads) {
   EXPECT_EQ(evaluator.last_retabulated(), 0u);
 }
 
+TEST(BatchedPlan, AllFieldsWalkMatchesOracleInEveryConfiguration) {
+  // The shape optimizer candidates, yield trials and service jobs have:
+  // every DesignVector field moves on every step.  The warm evaluator
+  // rewrites every design-bound table and must still equal the oracle,
+  // with dispersive or ideal passives, with or without the tee.
+  const device::Phemt dev = device::Phemt::reference_device();
+  const std::vector<double> band = amplifier::LnaDesign::default_band();
+  const amplifier::DesignVector nominal;
+  for (const bool dispersive : {true, false}) {
+    for (const bool tee : {true, false}) {
+      SCOPED_TRACE(std::string("dispersive_passives=") +
+                   (dispersive ? "on" : "off") +
+                   " model_tee=" + (tee ? "on" : "off"));
+      amplifier::AmplifierConfig config;
+      config.dispersive_passives = dispersive;
+      config.model_tee = tee;
+      amplifier::BandEvaluator evaluator(dev, config);
+      // A full rewrite: five chip L/C (stamp, plus a thermal CSD when
+      // dispersive), the feedback and drain resistors (stamp + CSD each),
+      // four lines (Y-block + Twiss CSD each), the FET (Y-block + pair).
+      const std::size_t full = (dispersive ? 10u : 5u) + 4u + 8u + 2u;
+      std::mt19937 rng(31u);
+      std::uniform_real_distribution<double> ur(-1.0, 1.0);
+      amplifier::DesignVector d;
+      for (int step = 0; step < 6; ++step) {
+        SCOPED_TRACE("design step " + std::to_string(step));
+        expect_report_eq(
+            oracle_report(amplifier::LnaDesign(dev, config, d), band),
+            evaluator.evaluate(d));
+        EXPECT_EQ(evaluator.last_retabulated(), step == 0 ? 0u : full);
+        d.vgs = nominal.vgs + 0.05 * ur(rng);
+        d.vds = nominal.vds + 0.3 * ur(rng);
+        d.l_in_m = nominal.l_in_m * (1.0 + 0.25 * ur(rng));
+        d.l_in2_m = nominal.l_in2_m * (1.0 + 0.25 * ur(rng));
+        d.l_shunt_h = nominal.l_shunt_h * (1.0 + 0.2 * ur(rng));
+        d.c_mid_f = nominal.c_mid_f * (1.0 + 0.2 * ur(rng));
+        d.l_out_m = nominal.l_out_m * (1.0 + 0.25 * ur(rng));
+        d.c_out_sh_f = nominal.c_out_sh_f * (1.0 + 0.2 * ur(rng));
+        d.l_out2_m = nominal.l_out2_m * (1.0 + 0.25 * ur(rng));
+        d.l_sdeg_h = nominal.l_sdeg_h * (1.0 + 0.2 * ur(rng));
+        d.c_in_f = nominal.c_in_f * (1.0 + 0.2 * ur(rng));
+        d.r_fb_ohm = nominal.r_fb_ohm * (1.0 + 0.2 * ur(rng));
+      }
+    }
+  }
+}
+
 TEST(BatchedPlan, IdealPassiveStepRewritesOneTable) {
   // With ideal (noiseless) L/C passives a capacitor step rewrites exactly
   // ONE stamp table, and the warm report still matches the oracle.
@@ -474,7 +522,7 @@ TEST(EvalWorkspace, RevisionBumpInvalidatesFactorization) {
   d.c_mid_f = 0.9e-12;
   amplifier::planw::write_lossy(
       plan, b.cmid, passives::make_capacitor(d.c_mid_f, config.package),
-      config.t_ambient_k);
+      amplifier::planw::frequency_table(plan.grid()), config.t_ambient_k);
   const std::uint64_t before = plan.revision();
   plan.mark_values_dirty();
   EXPECT_GT(plan.revision(), before);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "device/models.h"
 #include "device/phemt.h"
 #include "device/small_signal.h"
@@ -194,6 +196,39 @@ TEST(SmallSignal, SParamsLookLikeAFet) {
   EXPECT_LT(std::abs(s.s22), 1.0);
   // S11 is capacitive (negative phase) at L-band.
   EXPECT_LT(std::arg(s.s11), 0.0);
+}
+
+TEST(SmallSignal, SParamsAreTheEmbeddedYConverted) {
+  // fet_s_params is s_from_y(fet_y_params): bit for bit, over a seeded
+  // corpus of intrinsic/extrinsic elements and frequencies.
+  std::mt19937 rng(4242u);
+  std::uniform_real_distribution<double> ur(0.5, 1.5);
+  for (int k = 0; k < 200; ++k) {
+    IntrinsicParams in;
+    in.gm *= ur(rng);
+    in.tau_s *= ur(rng);
+    in.gds *= ur(rng);
+    in.cgs *= ur(rng);
+    in.cgd *= ur(rng);
+    in.cds *= ur(rng);
+    in.ri *= ur(rng);
+    ExtrinsicParams ex;
+    ex.lg *= ur(rng);
+    ex.ld *= ur(rng);
+    ex.ls *= ur(rng);
+    ex.rg *= ur(rng);
+    ex.rd *= ur(rng);
+    ex.rs *= ur(rng);
+    ex.cpg *= ur(rng);
+    ex.cpd *= ur(rng);
+    const double f = 0.5e9 + 2.0e9 * ur(rng);
+    const rf::SParams s = fet_s_params(in, ex, f);
+    const rf::SParams ref = rf::s_from_y(fet_y_params(in, ex, f));
+    EXPECT_EQ(s.s11, ref.s11);
+    EXPECT_EQ(s.s12, ref.s12);
+    EXPECT_EQ(s.s21, ref.s21);
+    EXPECT_EQ(s.s22, ref.s22);
+  }
 }
 
 TEST(SmallSignal, GainFallsWithFrequency) {

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <complex>
 #include <numbers>
+#include <random>
+#include <vector>
 
 #include "microstrip/discontinuity.h"
 #include "microstrip/line.h"
 #include "rf/metrics.h"
+#include "rf/twoport.h"
 
 namespace gnsslna::microstrip {
 namespace {
@@ -101,6 +105,85 @@ TEST(Line, InvalidInputsThrow) {
   EXPECT_THROW(line.epsilon_eff(0.0), std::invalid_argument);
   EXPECT_THROW(synthesize_width(Substrate::fr4(), 400.0, kF),
                std::domain_error);
+}
+
+// ---------------------------------------------------------------------------
+// Line::y_from against different-method oracles
+
+/// One (line, frequency) draw of the seeded corpus: FR4- and RO4350B-like
+/// boards with perturbed permittivity and height, widths from narrow bias
+/// traces to wide strips, lengths across the design box, and frequencies
+/// across the stability grid.
+struct LineCase {
+  Line line;
+  Line::Propagation p;
+};
+
+std::vector<LineCase> line_corpus(std::size_t n) {
+  std::mt19937 rng(20240611u);
+  std::uniform_real_distribution<double> ur(0.0, 1.0);
+  std::vector<LineCase> out;
+  out.reserve(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    Substrate sub = (k % 2 == 0) ? Substrate::fr4() : Substrate::ro4350b();
+    sub.epsilon_r *= 0.9 + 0.2 * ur(rng);
+    sub.height_m *= 0.8 + 0.4 * ur(rng);
+    const double width = 0.2e-3 + 3.0e-3 * ur(rng);
+    const double length = 1e-3 + 39e-3 * ur(rng);
+    const double f = 0.5e9 + 3.0e9 * ur(rng);
+    const Line line(sub, width, length);
+    out.push_back({line, line.propagation(f)});
+  }
+  return out;
+}
+
+/// |a - b| <= tol |b|.
+void expect_rel_near(std::complex<double> a, std::complex<double> b,
+                     double tol) {
+  EXPECT_LE(std::abs(a - b), tol * std::abs(b)) << a << " vs " << b;
+}
+
+TEST(LineY, LosslessMatchesCotAndCscClosedForms) {
+  // With alpha forced to 0, coth(j theta) = -j cot(theta) and
+  // csch(j theta) = -j csc(theta): y11 = -j cot(beta l) / Z0 and
+  // y12 = j csc(beta l) / Z0.
+  for (const LineCase& c : line_corpus(400)) {
+    Line::Propagation p = c.p;
+    p.alpha_np_m = 0.0;
+    const rf::YParams y = Line::y_from(p, c.line.length());
+    const double theta = p.beta_rad_m * c.line.length();
+    const std::complex<double> y11{0.0, -std::cos(theta) /
+                                            (std::sin(theta) * p.z0_ohm)};
+    const std::complex<double> y12{0.0, 1.0 / (std::sin(theta) * p.z0_ohm)};
+    expect_rel_near(y.y11, y11, 1e-12);
+    expect_rel_near(y.y12, y12, 1e-12);
+  }
+}
+
+TEST(LineY, LossyMatchesAbcdConversion) {
+  // The chain-matrix route (cosh/sinh, then ABCD -> Y) is a different
+  // computation of the same two-port.
+  for (const LineCase& c : line_corpus(400)) {
+    const rf::YParams y = Line::y_from(c.p, c.line.length());
+    const rf::YParams ref = rf::y_from_abcd(c.line.abcd(c.p.frequency_hz));
+    expect_rel_near(y.y11, ref.y11, 1e-12);
+    expect_rel_near(y.y12, ref.y12, 1e-12);
+    expect_rel_near(y.y21, ref.y21, 1e-12);
+    expect_rel_near(y.y22, ref.y22, 1e-12);
+  }
+}
+
+TEST(LineY, ReciprocalSymmetricAndPassive) {
+  for (const LineCase& c : line_corpus(400)) {
+    const rf::YParams y = Line::y_from(c.p, c.line.length());
+    // Exact: the symmetric entries are one value each.
+    EXPECT_EQ(y.y12, y.y21);
+    EXPECT_EQ(y.y11, y.y22);
+    // A lossy line dissipates: Re y11 = sinh(a) cosh(a) / |sinh(gamma l)|^2
+    // exceeds |Re y12| = sinh(a) |cos(theta)| / |sinh(gamma l)|^2.
+    EXPECT_GE(y.y11.real(), std::abs(y.y12.real()));
+    EXPECT_GT(y.y11.real(), 0.0);
+  }
 }
 
 TEST(Substrate, ValidationCatchesNonPhysical) {

@@ -185,5 +185,18 @@ TEST(ESeries, RejectsNonPositive) {
   EXPECT_THROW(snap(-5.0, ESeries::kE24), std::invalid_argument);
 }
 
+TEST(FrequencyFactors, TabulatedFactorsReproduceImpedance) {
+  // impedance(omega, sqrt_f_ghz) fed from frequency_factors(f) is the very
+  // computation impedance(f) performs.
+  const Capacitor c = make_capacitor(2.2e-12);
+  const Inductor l = make_inductor(8.2e-9);
+  for (const double f : {0.5e9, 1.1e9, 1.575e9, 3.5e9}) {
+    const FrequencyFactors ff = frequency_factors(f);
+    EXPECT_EQ(c.impedance(ff.omega, ff.sqrt_f_ghz), c.impedance(f));
+    EXPECT_EQ(l.impedance(ff.omega, ff.sqrt_f_ghz), l.impedance(f));
+  }
+  EXPECT_THROW(frequency_factors(0.0), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace gnsslna::passives
